@@ -38,6 +38,16 @@ natively while calling back into Python at the observation points
 (scheduler hooks, the CostModel audit tap, alloc-stats recording).
 Non-default policies and non-default cost models always route through
 Python.
+
+Outside the simulator the compiled tier serves one lane: the asyncio
+adapter's sync driver (:func:`sync_driver`, the native
+``repro.aio.channel.drive_sync``).  An :class:`~repro.aio.AsyncChannel`
+built while this module resolves ``c`` (the same precedence as above,
+minus the explicit argument) runs ``try_send``, ``try_receive``,
+``close`` and ``cancel`` through it; the parked lane, channels with an
+event bus and :mod:`repro.threads` stay Python.  On a build-less
+checkout the ``auto`` fallback notice may therefore come from the first
+``AsyncChannel`` rather than the first ``Scheduler``.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ __all__ = [
     "set_alg_kernels",
     "native_run",
     "native_run_general",
+    "sync_driver",
     "probe_error",
     "probe_error_kind",
     "resolve",
@@ -83,6 +94,10 @@ _probe_error: Optional[str] = None
 _probe_error_kind: Optional[str] = None
 _probed = False
 _announced = False
+
+#: Entry points a usable build must export beyond ``configure`` and
+#: ``run_fast``; a build lacking any of them is classed ``stale-build``.
+_ENTRY_POINTS = ("run_observed", "kernel_rz_send", "drive_sync")
 
 
 def _probe() -> None:
@@ -206,15 +221,15 @@ def _probe() -> None:
         _probe_error = f"extension configure failed: {exc!r}"
         _probe_error_kind = "configure-error"
         return
-    if not hasattr(_enginec, "run_observed") or not hasattr(
-        _enginec, "kernel_rz_send"
-    ):
+    missing = [name for name in _ENTRY_POINTS if not hasattr(_enginec, name)]
+    if missing:
         # An .so from an older source tree imports and configures fine
-        # but lacks the observed-path core or the algorithm kernels;
-        # treat it as unusable rather than serving a half-tier.
+        # but lacks later entry points (the observed-path core, the
+        # algorithm kernels, the sync driver); treat it as unusable
+        # rather than serving a half-tier.
         _probe_error = (
-            "extension build is stale (missing run_observed/kernel entry "
-            "points); rebuild it"
+            f"extension build is stale (missing {', '.join(missing)}); "
+            "rebuild it"
         )
         _probe_error_kind = "stale-build"
         return
@@ -409,6 +424,19 @@ def native_run(sched: Any) -> None:
         _ext.run_fast(sched)
     finally:
         _ops.KERNELS = prev
+
+
+def sync_driver() -> Any:
+    """The compiled sync-lane driver, ``drive_sync(gen, handle, fallback)``.
+
+    :class:`repro.aio.AsyncChannel` binds it on the c tier (the Python
+    reference is :func:`repro.aio.channel.drive_sync`).
+    """
+
+    _probe()
+    if _ext is None:
+        raise EngineUnavailableError(_probe_error or "unknown probe failure")
+    return _ext.drive_sync
 
 
 def native_run_general(sched: Any) -> None:

@@ -1,4 +1,5 @@
-/* _enginec — the compiled engine tier for the repro simulator.
+/* _enginec — the compiled engine tier: the simulator's loops and the
+ * served sync lane.
  *
  * This module is a line-for-line transcription of
  * ``repro.sim.scheduler.Scheduler._run_fast`` (the fused DES stint loop)
@@ -34,6 +35,14 @@
  * state (clock, steps, pending value/exc) and the global step counter
  * through to the Python attributes after every op, so hooks observe
  * exactly the state the pure-Python loop would show them.
+ *
+ * ``drive_sync`` is the one entry point outside the simulator: the
+ * served stack's sync lane (``repro.aio.channel.drive_sync``, the
+ * reference) runs try-ops, close and cancel to completion through it on
+ * the c tier.  It applies the exact-type memory ops with the same
+ * ``mem_apply`` value effects the two loops use after they charge, and
+ * hands every other op to a Python fallback.  The parked lane
+ * (``drive_async``) and ``repro.threads`` stay Python.
  *
  * What is NOT compiled: the algorithms themselves (channel/baseline
  * generators stay pure Python and are resumed via ``gen.send``), every
@@ -730,6 +739,110 @@ raise_step_limit(int64_t limit)
     }
 }
 
+/* ------------------------------------------------------------------ */
+/* shared-memory value effects                                         */
+/* ------------------------------------------------------------------ */
+
+/* The ``cell`` slot of a Faa / Cas / GetAndSet / Write op. */
+static inline Py_ssize_t
+store_cell_off(PyObject *tp)
+{
+    return tp == S.tp_faa ? S.op_faa_cell :
+           tp == S.tp_cas ? S.op_cas_cell :
+           tp == S.tp_gas ? S.op_gas_cell : S.op_write_cell;
+}
+
+/* The one compiled copy of ``MEMORY_OP_APPLIERS`` for the storing ops:
+ * apply a Faa / Cas / GetAndSet / Write (exact type ``tp``) to ``cell``
+ * and return the value the generator resumes with, as a new reference —
+ * the old value for Faa and GetAndSet, the CAS outcome, None for Write —
+ * or NULL with an exception set.  CAS compares by identity on a RefCell,
+ * by ``==`` on an IntCell, and through ``cell.compare`` on any other
+ * cell type.  Both engine loops call this after they charge the op; the
+ * sync driver calls it with nothing to charge. */
+static inline PyObject *
+mem_apply(PyObject *tp, PyObject *op, PyObject *cell)
+{
+    if (tp == S.tp_faa) {
+        PyObject *old = slot_get(cell, S.c_value);
+        PyObject *delta = old ? slot_get(op, S.op_faa_delta) : NULL;
+        if (delta == NULL) {
+            return NULL;
+        }
+        Py_INCREF(old);
+        PyObject *nv = PyNumber_Add(old, delta);
+        if (nv == NULL) {
+            Py_DECREF(old);
+            return NULL;
+        }
+        slot_set(cell, S.c_value, nv);
+        Py_DECREF(nv);
+        return old;
+    }
+    if (tp == S.tp_cas) {
+        PyObject *cur = slot_get(cell, S.c_value);
+        PyObject *expected = cur ? slot_get(op, S.op_cas_expected) : NULL;
+        if (expected == NULL) {
+            return NULL;
+        }
+        int eq;
+        PyObject *cell_tp = (PyObject *)Py_TYPE(cell);
+        /* __eq__ or a custom compare() may run Python code that rebinds
+         * the cell or the op: hold what is read after the comparison. */
+        Py_INCREF(cell);
+        if (cell_tp == S.tp_refcell) {
+            eq = (cur == expected);
+        }
+        else {
+            Py_INCREF(cur);
+            Py_INCREF(expected);
+            PyObject *r;
+            if (cell_tp == S.tp_intcell) {
+                r = PyObject_RichCompare(cur, expected, Py_EQ);
+            }
+            else {
+                PyObject *cmpargs[3] = {cell, cur, expected};
+                r = PyObject_VectorcallMethod(
+                    s_compare, cmpargs, 3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+            }
+            Py_DECREF(cur);
+            Py_DECREF(expected);
+            eq = r == NULL ? -1 : PyObject_IsTrue(r);
+            Py_XDECREF(r);
+        }
+        PyObject *res = NULL;
+        if (eq > 0) {
+            PyObject *update = slot_get(op, S.op_cas_update);
+            if (update != NULL) {
+                slot_set(cell, S.c_value, update);
+                res = Py_NewRef(Py_True);
+            }
+        }
+        else if (eq == 0) {
+            res = Py_NewRef(Py_False);
+        }
+        Py_DECREF(cell);
+        return res;
+    }
+    if (tp == S.tp_write) {
+        PyObject *nv = slot_get(op, S.op_write_value);
+        if (nv == NULL) {
+            return NULL;
+        }
+        slot_set(cell, S.c_value, nv);
+        return Py_NewRef(Py_None);
+    }
+    /* GetAndSet */
+    PyObject *old = slot_get(cell, S.c_value);
+    PyObject *nv = old ? slot_get(op, S.op_gas_value) : NULL;
+    if (nv == NULL) {
+        return NULL;
+    }
+    Py_INCREF(old);
+    slot_set(cell, S.c_value, nv);
+    return old;
+}
+
 static PyObject *
 engine_run_fast(PyObject *self, PyObject *sched)
 {
@@ -1082,11 +1195,7 @@ engine_run_fast(PyObject *self, PyObject *sched)
             }
             else if (tp == S.tp_faa || tp == S.tp_cas || tp == S.tp_gas
                      || tp == S.tp_write) {
-                Py_ssize_t cell_off =
-                    tp == S.tp_faa ? S.op_faa_cell :
-                    tp == S.tp_cas ? S.op_cas_cell :
-                    tp == S.tp_gas ? S.op_gas_cell : S.op_write_cell;
-                PyObject *cell = slot_get(op, cell_off);
+                PyObject *cell = slot_get(op, store_cell_off(tp));
                 PyObject *line = cell ? slot_get(cell, S.c_line) : NULL;
                 if (line == NULL) goto op_error;
                 int64_t start = tclock;
@@ -1128,71 +1237,8 @@ engine_run_fast(PyObject *self, PyObject *sched)
                     }
                     Py_DECREF(end_obj);
                 }
-                if (tp == S.tp_faa) {
-                    PyObject *old = slot_get(cell, S.c_value);
-                    PyObject *delta = old ? slot_get(op, S.op_faa_delta) : NULL;
-                    if (delta == NULL) goto op_error;
-                    Py_INCREF(old);
-                    PyObject *nv = PyNumber_Add(old, delta);
-                    if (nv == NULL) {
-                        Py_DECREF(old);
-                        goto op_error;
-                    }
-                    slot_set(cell, S.c_value, nv);
-                    Py_DECREF(nv);
-                    send_value = old;
-                }
-                else if (tp == S.tp_cas) {
-                    PyObject *cur = slot_get(cell, S.c_value);
-                    PyObject *expected = cur ? slot_get(op, S.op_cas_expected) : NULL;
-                    if (expected == NULL) goto op_error;
-                    int eq;
-                    PyObject *cell_tp = (PyObject *)Py_TYPE(cell);
-                    if (cell_tp == S.tp_refcell) {
-                        eq = (cur == expected);
-                    }
-                    else if (cell_tp == S.tp_intcell) {
-                        PyObject *r = PyObject_RichCompare(cur, expected, Py_EQ);
-                        if (r == NULL) goto op_error;
-                        eq = PyObject_IsTrue(r);
-                        Py_DECREF(r);
-                        if (eq < 0) goto op_error;
-                    }
-                    else {
-                        /* custom cell subtype: defer to its compare() */
-                        PyObject *cmpargs[3] = {cell, cur, expected};
-                        PyObject *r = PyObject_VectorcallMethod(
-                            s_compare, cmpargs,
-                            3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-                        if (r == NULL) goto op_error;
-                        eq = PyObject_IsTrue(r);
-                        Py_DECREF(r);
-                        if (eq < 0) goto op_error;
-                    }
-                    if (eq) {
-                        PyObject *update = slot_get(op, S.op_cas_update);
-                        if (update == NULL) goto op_error;
-                        slot_set(cell, S.c_value, update);
-                        send_value = Py_NewRef(Py_True);
-                    }
-                    else {
-                        send_value = Py_NewRef(Py_False);
-                    }
-                }
-                else if (tp == S.tp_write) {
-                    PyObject *nv = slot_get(op, S.op_write_value);
-                    if (nv == NULL) goto op_error;
-                    slot_set(cell, S.c_value, nv);
-                    /* resumes with None: send_value stays NULL */
-                }
-                else { /* GetAndSet */
-                    PyObject *old = slot_get(cell, S.c_value);
-                    PyObject *nv = old ? slot_get(op, S.op_gas_value) : NULL;
-                    if (nv == NULL) goto op_error;
-                    Py_INCREF(old);
-                    slot_set(cell, S.c_value, nv);
-                    send_value = old;
-                }
+                send_value = mem_apply(tp, op, cell);
+                if (send_value == NULL) goto op_error;
             }
             else if (tp == S.tp_work) {
                 PyObject *cyc = slot_get(op, S.op_work_cycles);
@@ -1891,11 +1937,7 @@ engine_run_observed(PyObject *self, PyObject *sched)
                 }
                 else if (tp == S.tp_faa || tp == S.tp_cas || tp == S.tp_gas
                          || tp == S.tp_write) {
-                    Py_ssize_t cell_off =
-                        tp == S.tp_faa ? S.op_faa_cell :
-                        tp == S.tp_cas ? S.op_cas_cell :
-                        tp == S.tp_gas ? S.op_gas_cell : S.op_write_cell;
-                    PyObject *cell = slot_get(op, cell_off);
+                    PyObject *cell = slot_get(op, store_cell_off(tp));
                     PyObject *line = cell ? slot_get(cell, S.c_line) : NULL;
                     if (line == NULL) goto op_error;
                     int64_t start = tclock, stall = 0;
@@ -1945,74 +1987,10 @@ engine_run_observed(PyObject *self, PyObject *sched)
                     if (audited
                         && audit_fill(audit, cell, stall, miss, basec) < 0)
                         goto op_error;
-                    if (tp == S.tp_faa) {
-                        PyObject *old = slot_get(cell, S.c_value);
-                        PyObject *delta = old ? slot_get(op, S.op_faa_delta) : NULL;
-                        if (delta == NULL) goto op_error;
-                        Py_INCREF(old);
-                        PyObject *nv = PyNumber_Add(old, delta);
-                        if (nv == NULL) {
-                            Py_DECREF(old);
-                            goto op_error;
-                        }
-                        slot_set(cell, S.c_value, nv);
-                        Py_DECREF(nv);
-                        slot_set(task, S.t_pending_value, old);
-                        Py_DECREF(old);
-                    }
-                    else if (tp == S.tp_cas) {
-                        PyObject *cur = slot_get(cell, S.c_value);
-                        PyObject *expected =
-                            cur ? slot_get(op, S.op_cas_expected) : NULL;
-                        if (expected == NULL) goto op_error;
-                        int eq;
-                        PyObject *cell_tp = (PyObject *)Py_TYPE(cell);
-                        if (cell_tp == S.tp_refcell) {
-                            eq = (cur == expected);
-                        }
-                        else if (cell_tp == S.tp_intcell) {
-                            PyObject *r = PyObject_RichCompare(cur, expected, Py_EQ);
-                            if (r == NULL) goto op_error;
-                            eq = PyObject_IsTrue(r);
-                            Py_DECREF(r);
-                            if (eq < 0) goto op_error;
-                        }
-                        else {
-                            PyObject *cmpargs[3] = {cell, cur, expected};
-                            PyObject *r = PyObject_VectorcallMethod(
-                                s_compare, cmpargs,
-                                3 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
-                            if (r == NULL) goto op_error;
-                            eq = PyObject_IsTrue(r);
-                            Py_DECREF(r);
-                            if (eq < 0) goto op_error;
-                        }
-                        if (eq) {
-                            PyObject *update = slot_get(op, S.op_cas_update);
-                            if (update == NULL) goto op_error;
-                            slot_set(cell, S.c_value, update);
-                            slot_set(task, S.t_pending_value, Py_True);
-                        }
-                        else {
-                            slot_set(task, S.t_pending_value, Py_False);
-                        }
-                    }
-                    else if (tp == S.tp_write) {
-                        PyObject *nv = slot_get(op, S.op_write_value);
-                        if (nv == NULL) goto op_error;
-                        slot_set(cell, S.c_value, nv);
-                        /* the Write applier returns None */
-                        slot_set(task, S.t_pending_value, Py_None);
-                    }
-                    else { /* GetAndSet */
-                        PyObject *old = slot_get(cell, S.c_value);
-                        PyObject *nv = old ? slot_get(op, S.op_gas_value) : NULL;
-                        if (nv == NULL) goto op_error;
-                        Py_INCREF(old);
-                        slot_set(cell, S.c_value, nv);
-                        slot_set(task, S.t_pending_value, old);
-                        Py_DECREF(old);
-                    }
+                    PyObject *v = mem_apply(tp, op, cell);
+                    if (v == NULL) goto op_error;
+                    slot_set(task, S.t_pending_value, v);
+                    Py_DECREF(v);
                 }
                 else if (tp == S.tp_work) {
                     PyObject *cyc = slot_get(op, S.op_work_cycles);
@@ -2322,6 +2300,61 @@ cleanup:
     Py_XDECREF(charge_fn);
     Py_XDECREF(dispatch_fn);
     return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* drive_sync() — the served sync lane                                 */
+/* ------------------------------------------------------------------ */
+
+/* ``repro.aio.channel.drive_sync`` without an event bus: resume ``gen``
+ * until it returns and return its value.  Read, Write, Cas, Faa and
+ * GetAndSet — matched by exact type, like ``MEMORY_OP_APPLIERS`` — are
+ * applied here; every other op, ParkTask and memory-op subclasses
+ * included, goes to ``fallback(op, handle)``, whose result resumes the
+ * generator and whose exception propagates unchanged.  There is nothing
+ * to charge: the asyncio loop runs one operation's steps back to back. */
+static PyObject *
+engine_drive_sync(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "drive_sync(gen, handle, fallback) takes 3 arguments");
+        return NULL;
+    }
+    if (!S.ready) {
+        PyErr_SetString(PyExc_RuntimeError, "engine not configured");
+        return NULL;
+    }
+    PyObject *gen = args[0], *fallback = args[2];
+    PyObject *value = Py_NewRef(Py_None);
+    for (;;) {
+        PyObject *op;
+        PySendResult r = PyIter_Send(gen, value, &op);
+        Py_DECREF(value);
+        if (r != PYGEN_NEXT) {
+            return r == PYGEN_RETURN ? op : NULL;
+        }
+        PyObject *tp = (PyObject *)Py_TYPE(op);
+        if (tp == S.tp_read) {
+            PyObject *cell = slot_get(op, S.op_read_cell);
+            value = cell ? slot_get(cell, S.c_value) : NULL;
+            Py_XINCREF(value);
+        }
+        else if (tp == S.tp_faa || tp == S.tp_cas || tp == S.tp_gas
+                 || tp == S.tp_write) {
+            PyObject *cell = slot_get(op, store_cell_off(tp));
+            value = cell ? mem_apply(tp, op, cell) : NULL;
+        }
+        else {
+            PyObject *fargs[2] = {op, args[1]};
+            value = PyObject_Vectorcall(fallback, fargs, 2, NULL);
+        }
+        Py_DECREF(op);
+        if (value == NULL) {
+            return NULL;
+        }
+    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -4716,6 +4749,10 @@ static PyMethodDef engine_methods[] = {
      "_run_general)."},
     {"configured", engine_configured, METH_NOARGS,
      "True once configure() has validated the object layouts."},
+    {"drive_sync", (PyCFunction)(void (*)(void))engine_drive_sync,
+     METH_FASTCALL,
+     "drive_sync(gen, handle, fallback): run a non-suspending channel "
+     "operation to completion, applying memory ops natively."},
     {"kernel_rz_send", (PyCFunction)(void (*)(void))engine_kernel_rz_send,
      METH_FASTCALL, "Native RendezvousChannel._send_fused kernel."},
     {"kernel_rz_recv", (PyCFunction)(void (*)(void))engine_kernel_rz_recv,
@@ -4734,7 +4771,8 @@ static PyMethodDef engine_methods[] = {
 static struct PyModuleDef engine_module = {
     PyModuleDef_HEAD_INIT,
     "repro._engine._enginec",
-    "Compiled engine tier: the fused DES stint loop in C.",
+    "Compiled engine tier: the simulator's engine loops and algorithm "
+    "kernels, and the asyncio adapter's sync-lane driver, in C.",
     -1,
     engine_methods,
     NULL, /* m_slots */

@@ -18,6 +18,19 @@ benchmarks is driven here on the asyncio event loop:
   resumption beat the cancellation the operation completes normally
   (the element is never lost).
 
+Two lanes drive the generators.  The *sync lane* runs the operations
+that never suspend (``try_send``, ``try_receive``, ``close``,
+``cancel``) to completion in one call; :func:`drive_sync` is its
+reference.  On the compiled engine tier (``repro._engine``, selected by
+the same ``set_default_engine`` / ``REPRO_ENGINE`` / ``auto`` knob as
+the simulator) an :class:`AsyncChannel` without an event bus binds the
+native ``_enginec.drive_sync`` instead: it applies the exact-type
+memory ops in C and hands every other op to the same Python fallback,
+so both drivers produce identical results.  The served stack
+(``repro.net``) completes almost every op on this lane.  The *parked
+lane*, :func:`drive_async`, stays in Python: there, parking and
+wake-ups cost far more than stepping the generator.
+
 Example::
 
     ch = AsyncChannel(capacity=64)
@@ -35,15 +48,17 @@ Example::
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
-from typing import Any, AsyncIterator, Generator, Optional
+from typing import Any, AsyncIterator, Callable, Generator, Optional
 
+from .. import _engine
 from ..concurrent.ops import (
+    MEMORY_OP_APPLIERS,
     CurrentTask,
     Op,
     ParkTask,
     UnparkTask,
-    apply_memory_op,
     is_memory_op,
 )
 from ..core.channel import make_channel
@@ -132,8 +147,15 @@ class _AioTaskHandle:
 def _apply_simple(op: Op, handle: _AioTaskHandle) -> Any:
     """Apply one non-park op; returns the value to send into the generator."""
 
-    if is_memory_op(op):
-        return apply_memory_op(op)
+    apply = MEMORY_OP_APPLIERS.get(type(op))
+    if apply is not None:
+        return apply(op)
+    return _apply_other(op, handle)
+
+
+def _apply_other(op: Op, handle: _AioTaskHandle) -> Any:
+    """Apply one op that is not exactly one of the five memory-op types."""
+
     t = type(op)
     if t is CurrentTask:
         return handle
@@ -154,8 +176,23 @@ def _apply_simple(op: Op, handle: _AioTaskHandle) -> Any:
         else:
             target.unpark_pending = True
         return None
+    if is_memory_op(op):
+        # A subclass of a memory op: the appliers match exact types only.
+        raise SchedulerError(f"not a memory op: {op!r}")
     # Yield / Spin / Work / Label / Alloc: no-ops on the event loop.
     return None
+
+
+def _sync_fallback(op: Op, handle: _AioTaskHandle) -> Any:
+    """The sync lane's path for every op the appliers do not take.
+
+    Shared by :func:`drive_sync` and the native driver, so both treat
+    ``ParkTask``, scheduling ops and memory-op subclasses the same way.
+    """
+
+    if type(op) is ParkTask:
+        raise SchedulerError("drive_sync used on a suspending operation")
+    return _apply_other(op, handle)
 
 
 def drive_sync(
@@ -163,7 +200,12 @@ def drive_sync(
     handle: Optional[_AioTaskHandle] = None,
     bus: Optional[EventBus] = None,
 ) -> Any:
-    """Drive an operation that must not suspend (try-ops, close, interrupt)."""
+    """Drive an operation that must not suspend (try-ops, close, interrupt).
+
+    The reference for the native ``_enginec.drive_sync``, which has the
+    same shape without ``bus``: exact-type memory ops through the
+    appliers, everything else through :func:`_sync_fallback`.
+    """
 
     handle = handle or _AioTaskHandle("sync-op")
     to_send: Any = None
@@ -172,11 +214,23 @@ def drive_sync(
             op = gen.send(to_send)
         except StopIteration as stop:
             return stop.value
-        if type(op) is ParkTask:
-            raise SchedulerError("drive_sync used on a suspending operation")
-        to_send = _apply_simple(op, handle)
+        apply = MEMORY_OP_APPLIERS.get(type(op))
+        to_send = apply(op) if apply is not None else _sync_fallback(op, handle)
         if bus is not None and bus.active:
             emit_op_events(bus, handle.name, op, result=to_send, clock=_now_us())
+
+
+def _sync_driver(bus: Optional[EventBus]) -> Callable[[Generator[Any, Any, Any]], Any]:
+    """The sync-lane driver a new :class:`AsyncChannel` binds.
+
+    Native on the c tier; the Python :func:`drive_sync` on the py tier
+    and for a channel with a bus, since only it emits per-op events.
+    """
+
+    if bus is None and _engine.resolve() == "c":
+        native = _engine.sync_driver()
+        return lambda gen: native(gen, _AioTaskHandle("sync-op"), _sync_fallback)
+    return functools.partial(drive_sync, bus=bus)
 
 
 def _unwind_with(gen: Generator[Any, Any, Any], exc: BaseException, handle: "_AioTaskHandle") -> None:
@@ -184,7 +238,8 @@ def _unwind_with(gen: Generator[Any, Any, Any], exc: BaseException, handle: "_Ai
 
     The unwinding path of a channel operation performs memory ops (cell
     neutralization) but never parks; any exception it settles on is
-    swallowed — the caller propagates its own.
+    swallowed — the caller propagates its own.  Interpreter exits
+    (``KeyboardInterrupt``, ``SystemExit``) are not swallowed.
     """
 
     to_send: Any = None
@@ -197,7 +252,7 @@ def _unwind_with(gen: Generator[Any, Any, Any], exc: BaseException, handle: "_Ai
             op = gen.send(to_send)
     except StopIteration:
         pass
-    except BaseException:  # noqa: BLE001 - the caller raises its own
+    except Exception:  # noqa: BLE001 - the caller raises its own
         pass
 
 
@@ -319,6 +374,7 @@ class AsyncChannel:
             raise ValueError(f"unknown overflow policy: {overflow!r}")
         self.name = name
         self.bus = bus
+        self._drive_sync = _sync_driver(bus)
 
     @property
     def capacity(self) -> int:
@@ -372,12 +428,12 @@ class AsyncChannel:
     def try_send(self, element: Any) -> bool:
         """Non-blocking send (synchronous: it never suspends)."""
 
-        return drive_sync(self._ch.try_send(element), bus=self.bus)
+        return self._drive_sync(self._ch.try_send(element))
 
     def try_receive(self) -> tuple[bool, Any]:
         """Non-blocking receive (synchronous: it never suspends)."""
 
-        return drive_sync(self._ch.try_receive(), bus=self.bus)
+        return self._drive_sync(self._ch.try_receive())
 
     def close(self) -> bool:
         """Close for sending; wakes waiting receivers.  Synchronous.
@@ -386,12 +442,12 @@ class AsyncChannel:
         returns ``True``; repeats return ``False`` and wake nobody.
         """
 
-        return drive_sync(self._ch.close(), bus=self.bus)
+        return self._drive_sync(self._ch.close())
 
     def cancel(self) -> bool:
         """Close and discard everything.  Synchronous and idempotent."""
 
-        return drive_sync(self._ch.cancel(), bus=self.bus)
+        return self._drive_sync(self._ch.cancel())
 
     @property
     def cancelled(self) -> bool:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import _engine
 from repro.baselines import (
     GoChannel,
     KotlinLegacyChannel,
@@ -73,3 +74,20 @@ def buffered_factory(request):
 @pytest.fixture(params=sorted(FULL_API_FACTORIES))
 def full_api_factory(request):
     return FULL_API_FACTORIES[request.param]
+
+
+@pytest.fixture
+def class_tier(request):
+    """Pin the process-default engine tier to the test class's ``tier``.
+
+    Channels built during the test resolve that tier (the asyncio
+    adapter binds its sync driver from it).  A ``c`` class is skipped
+    when the compiled extension is unavailable.
+    """
+
+    tier = request.cls.tier
+    if tier == "c" and not _engine.available():
+        pytest.skip(f"compiled engine unavailable: {_engine.probe_error()}")
+    prev = _engine.set_default_engine(tier)
+    yield tier
+    _engine.set_default_engine(prev)

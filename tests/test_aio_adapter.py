@@ -91,7 +91,12 @@ class TestBasics:
         assert run(main()) == (1, 1)
 
 
+@pytest.mark.usefixtures("class_tier")
 class TestTryOpsAndClose:
+    """Sync-lane ops on the py tier's driver; rerun natively below."""
+
+    tier = "py"
+
     def test_try_ops_synchronous(self):
         async def main():
             ch = AsyncChannel(1)
@@ -160,6 +165,12 @@ class TestTryOpsAndClose:
             return first, second
 
         assert run(main()) == ((True, 9), (False, None))
+
+
+class TestTryOpsAndCloseNative(TestTryOpsAndClose):
+    """The same cases on the c tier's native sync driver."""
+
+    tier = "c"
 
 
 class TestCancellation:

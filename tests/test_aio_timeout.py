@@ -135,7 +135,12 @@ class TestSendTimeout:
         assert run(main()) == "ok"
 
 
+@pytest.mark.usefixtures("class_tier")
 class TestCloseCancelIdempotency:
+    """On the py tier's sync driver; rerun natively below."""
+
+    tier = "py"
+
     def test_second_close_returns_false(self):
         async def main():
             ch = AsyncChannel(2)
@@ -236,3 +241,9 @@ class TestCloseCancelIdempotency:
             return sorted(outcomes)
 
         assert run(main()) == [(0, "cancelled"), (1, "cancelled"), (2, "cancelled")]
+
+
+class TestCloseCancelIdempotencyNative(TestCloseCancelIdempotency):
+    """The same cases on the c tier's native sync driver."""
+
+    tier = "c"

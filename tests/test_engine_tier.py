@@ -219,6 +219,56 @@ class TestFallback:
         assert "not built or not importable" in cp.stderr
         assert "rebuild: python setup.py build_ext --inplace" in cp.stderr
 
+    def test_stale_build_serves_through_python_driver(self):
+        # A build from an older tree imports and configures but lacks the
+        # sync driver.  The probe must class it stale, so the first
+        # AsyncChannel falls back (one notice) instead of its first op
+        # failing with AttributeError.
+        cp = _run_probeless(
+            """
+            import asyncio, sys, types
+
+            stub = types.ModuleType("repro._engine._enginec")
+            stub.configure = lambda cfg: None
+            stub.run_fast = stub.run_observed = lambda sched: None
+            stub.kernel_rz_send = lambda *args: None
+            sys.modules["repro._engine._enginec"] = stub
+
+            from repro import _engine
+            from repro.aio import AsyncChannel
+
+            async def main():
+                ch = AsyncChannel(1)
+                return ch.try_send(1), ch.try_receive(), ch.close()
+
+            assert asyncio.run(main()) == (True, (True, 1), True)
+            assert _engine.probe_error_kind() == "stale-build"
+            assert "drive_sync" in _engine.probe_error()
+            assert _engine.resolve("auto") == "py"
+            """,
+            REPRO_NO_ENGINE_EXT="0",
+        )
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+        assert cp.stderr.count("compiled engine unavailable [stale-build]") == 1
+        assert "rebuild: python setup.py build_ext --inplace" in cp.stderr
+
+    def test_explicit_c_async_channel_raises(self):
+        cp = _run_probeless(
+            """
+            from repro.aio import AsyncChannel
+            from repro.errors import EngineUnavailableError
+
+            try:
+                AsyncChannel(1)
+            except EngineUnavailableError as exc:
+                assert "REPRO_NO_ENGINE_EXT" in str(exc)
+            else:
+                raise SystemExit("AsyncChannel under REPRO_ENGINE=c did not raise")
+            """,
+            REPRO_ENGINE="c",
+        )
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+
     def test_explicit_py_never_probes_or_warns(self):
         cp = _run_probeless(
             """
