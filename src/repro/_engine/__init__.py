@@ -39,14 +39,15 @@ natively while calling back into Python at the observation points
 Non-default policies and non-default cost models always route through
 Python.
 
-Outside the simulator the compiled tier serves one lane: the asyncio
-adapter's sync driver (:func:`sync_driver`, the native
-``repro.aio.channel.drive_sync``).  An :class:`~repro.aio.AsyncChannel`
+Outside the simulator the compiled tier serves the asyncio adapter's
+stepping core (:func:`stepper`, the native twin of
+``repro.aio.channel._step``).  An :class:`~repro.aio.AsyncChannel`
 built while this module resolves ``c`` (the same precedence as above,
-minus the explicit argument) runs ``try_send``, ``try_receive``,
-``close`` and ``cancel`` through it; the parked lane, channels with an
-event bus and :mod:`repro.threads` stay Python.  On a build-less
-checkout the ``auto`` fallback notice may therefore come from the first
+minus the explicit argument) steps every operation through it, and an
+exact rendezvous or buffered channel binds its send/receive kernels
+from :func:`kernels` directly; channels with an event bus and
+:mod:`repro.threads` stay Python.  On a build-less checkout the
+``auto`` fallback notice may therefore come from the first
 ``AsyncChannel`` rather than the first ``Scheduler``.
 """
 
@@ -68,7 +69,8 @@ __all__ = [
     "set_alg_kernels",
     "native_run",
     "native_run_general",
-    "sync_driver",
+    "kernels",
+    "stepper",
     "probe_error",
     "probe_error_kind",
     "resolve",
@@ -97,7 +99,7 @@ _announced = False
 
 #: Entry points a usable build must export beyond ``configure`` and
 #: ``run_fast``; a build lacking any of them is classed ``stale-build``.
-_ENTRY_POINTS = ("run_observed", "kernel_rz_send", "drive_sync")
+_ENTRY_POINTS = ("run_observed", "kernel_rz_send", "step")
 
 
 def _probe() -> None:
@@ -225,7 +227,7 @@ def _probe() -> None:
     if missing:
         # An .so from an older source tree imports and configures fine
         # but lacks later entry points (the observed-path core, the
-        # algorithm kernels, the sync driver); treat it as unusable
+        # algorithm kernels, the stepping core); treat it as unusable
         # rather than serving a half-tier.
         _probe_error = (
             f"extension build is stale (missing {', '.join(missing)}); "
@@ -346,11 +348,12 @@ def resolve(request: Optional[str] = None) -> str:
 # ----------------------------------------------------------------------
 #
 # The compiled tier carries native transcriptions of the fused PARK-mode
-# channel fast paths ("op kernels").  They are installed into
-# ``repro.concurrent.ops.KERNELS`` only for the duration of a native
-# ``run_fast`` — every other driver always sees plain generators — and
-# only when neither ``REPRO_NO_ALG_KERNELS`` nor ``REPRO_NO_FAST_OPS``
-# disables them.
+# channel fast paths ("op kernels"), available only when neither
+# ``REPRO_NO_ALG_KERNELS`` nor ``REPRO_NO_FAST_OPS`` disables them.  The
+# simulator installs them into ``repro.concurrent.ops.KERNELS`` for the
+# duration of a native ``run_fast``, where the channels' dispatch
+# wrappers find them; the asyncio adapter binds the factories per
+# channel instead and never reads that process-global slot.
 
 _alg_kernels = os.environ.get("REPRO_NO_ALG_KERNELS", "") in ("", "0")
 
@@ -404,6 +407,20 @@ def _kernel_namespace() -> Any:
     return _kernels_ns
 
 
+def kernels() -> Any:
+    """The kernel namespace, or ``None`` when the kernels are off.
+
+    Off when the build lacks them or ``REPRO_NO_ALG_KERNELS`` /
+    ``REPRO_NO_FAST_OPS`` (or their runtime toggles) disable them.
+    """
+
+    from ..concurrent import ops as _ops
+
+    if _alg_kernels and _ops.fast_ops_enabled():
+        return _kernel_namespace()
+    return None
+
+
 def native_run(sched: Any) -> None:
     """Run *sched*'s fused loop on the compiled tier (must be available)."""
 
@@ -412,31 +429,29 @@ def native_run(sched: Any) -> None:
         raise EngineUnavailableError(_probe_error or "unknown probe failure")
     from ..concurrent import ops as _ops
 
-    kernels = None
-    if _alg_kernels and _ops.fast_ops_enabled():
-        kernels = _kernel_namespace()
-    if kernels is None:
+    namespace = kernels()
+    if namespace is None:
         _ext.run_fast(sched)
         return
     prev = _ops.KERNELS
-    _ops.KERNELS = kernels
+    _ops.KERNELS = namespace
     try:
         _ext.run_fast(sched)
     finally:
         _ops.KERNELS = prev
 
 
-def sync_driver() -> Any:
-    """The compiled sync-lane driver, ``drive_sync(gen, handle, fallback)``.
+def stepper() -> Any:
+    """The compiled stepping core, ``step(gen, handle, fallback, value, exc)``.
 
     :class:`repro.aio.AsyncChannel` binds it on the c tier (the Python
-    reference is :func:`repro.aio.channel.drive_sync`).
+    reference is ``repro.aio.channel._step``).
     """
 
     _probe()
     if _ext is None:
         raise EngineUnavailableError(_probe_error or "unknown probe failure")
-    return _ext.drive_sync
+    return _ext.step
 
 
 def native_run_general(sched: Any) -> None:

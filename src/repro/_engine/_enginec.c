@@ -1,5 +1,5 @@
 /* _enginec — the compiled engine tier: the simulator's loops and the
- * served sync lane.
+ * served stepping core.
  *
  * This module is a line-for-line transcription of
  * ``repro.sim.scheduler.Scheduler._run_fast`` (the fused DES stint loop)
@@ -36,13 +36,16 @@
  * through to the Python attributes after every op, so hooks observe
  * exactly the state the pure-Python loop would show them.
  *
- * ``drive_sync`` is the one entry point outside the simulator: the
- * served stack's sync lane (``repro.aio.channel.drive_sync``, the
- * reference) runs try-ops, close and cancel to completion through it on
- * the c tier.  It applies the exact-type memory ops with the same
- * ``mem_apply`` value effects the two loops use after they charge, and
- * hands every other op to a Python fallback.  The parked lane
- * (``drive_async``) and ``repro.threads`` stay Python.
+ * ``step`` is the one entry point outside the simulator: the asyncio
+ * adapter's stepping core (``repro.aio.channel._step``, the reference).
+ * It resumes a channel operation with a value or an exception and runs
+ * it until it returns or parks, returning the result or the ParkTask
+ * op; every served operation runs through it on the c tier, parked
+ * ones included, and steps the algorithm kernels below directly.  It
+ * applies the exact-type memory ops with the same ``mem_apply`` value
+ * effects the two loops use after they charge, and hands every other
+ * op to a Python fallback; the permit protocol, the park future and
+ * cancellation stay in Python, and so does ``repro.threads``.
  *
  * What is NOT compiled: the algorithms themselves (channel/baseline
  * generators stay pure Python and are resumed via ``gen.send``), every
@@ -2300,61 +2303,6 @@ cleanup:
     Py_XDECREF(charge_fn);
     Py_XDECREF(dispatch_fn);
     return result;
-}
-
-/* ------------------------------------------------------------------ */
-/* drive_sync() — the served sync lane                                 */
-/* ------------------------------------------------------------------ */
-
-/* ``repro.aio.channel.drive_sync`` without an event bus: resume ``gen``
- * until it returns and return its value.  Read, Write, Cas, Faa and
- * GetAndSet — matched by exact type, like ``MEMORY_OP_APPLIERS`` — are
- * applied here; every other op, ParkTask and memory-op subclasses
- * included, goes to ``fallback(op, handle)``, whose result resumes the
- * generator and whose exception propagates unchanged.  There is nothing
- * to charge: the asyncio loop runs one operation's steps back to back. */
-static PyObject *
-engine_drive_sync(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    (void)self;
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "drive_sync(gen, handle, fallback) takes 3 arguments");
-        return NULL;
-    }
-    if (!S.ready) {
-        PyErr_SetString(PyExc_RuntimeError, "engine not configured");
-        return NULL;
-    }
-    PyObject *gen = args[0], *fallback = args[2];
-    PyObject *value = Py_NewRef(Py_None);
-    for (;;) {
-        PyObject *op;
-        PySendResult r = PyIter_Send(gen, value, &op);
-        Py_DECREF(value);
-        if (r != PYGEN_NEXT) {
-            return r == PYGEN_RETURN ? op : NULL;
-        }
-        PyObject *tp = (PyObject *)Py_TYPE(op);
-        if (tp == S.tp_read) {
-            PyObject *cell = slot_get(op, S.op_read_cell);
-            value = cell ? slot_get(cell, S.c_value) : NULL;
-            Py_XINCREF(value);
-        }
-        else if (tp == S.tp_faa || tp == S.tp_cas || tp == S.tp_gas
-                 || tp == S.tp_write) {
-            PyObject *cell = slot_get(op, store_cell_off(tp));
-            value = cell ? mem_apply(tp, op, cell) : NULL;
-        }
-        else {
-            PyObject *fargs[2] = {op, args[1]};
-            value = PyObject_Vectorcall(fallback, fargs, 2, NULL);
-        }
-        Py_DECREF(op);
-        if (value == NULL) {
-            return NULL;
-        }
-    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -4731,6 +4679,92 @@ KERN_FACTORY1(engine_kernel_faaq_deq, K_FAAQ_DEQ, kern_faaq_new)
 #undef KERN_FACTORY2
 #undef KERN_FACTORY1
 
+/* ------------------------------------------------------------------ */
+/* step() — the real-time drivers' stepping core                       */
+/* ------------------------------------------------------------------ */
+
+/* Resume ``it`` once: throw ``exc`` in when it is not None, else send
+ * ``value``.  Kernels are stepped directly; anything else goes through
+ * the generator protocol.  Returns 1 with the yielded op in ``*out``, 0
+ * with the return value in ``*out``, or -1 with an exception set. */
+static int
+step_resume(PyObject *it, PyObject *value, PyObject *exc, PyObject **out)
+{
+    PyObject *op;
+    if (Py_IS_TYPE(it, &KernelType)) {
+        op = exc != Py_None ? kern_throw(it, &exc, 1)
+                            : kern_resume((KernelObject *)it, value);
+    }
+    else if (exc == Py_None) {
+        PySendResult r = PyIter_Send(it, value, out);
+        return r == PYGEN_NEXT ? 1 : r == PYGEN_RETURN ? 0 : -1;
+    }
+    else {
+        op = PyObject_CallMethodOneArg(it, s_throw, exc);
+    }
+    if (op != NULL) {
+        *out = op;
+        return 1;
+    }
+    return k_fetch_stop(out) ? 0 : -1;
+}
+
+/* ``repro.aio.channel._step`` without an event bus: resume ``gen`` with
+ * ``value`` (or throw ``exc`` into it) and run it until it returns or
+ * parks.  Read, Write, Cas, Faa and GetAndSet — matched by exact type,
+ * like ``MEMORY_OP_APPLIERS`` — are applied here; every other op except
+ * ParkTask goes to ``fallback(op, handle)``, whose result resumes the
+ * generator and whose exception propagates unchanged.  Returns the
+ * operation's result, or the ParkTask op it stopped at (no channel
+ * operation returns one).  There is nothing to charge: the event loop
+ * runs one operation's steps back to back. */
+static PyObject *
+engine_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    (void)self;
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError,
+                        "step(gen, handle, fallback, value, exc) takes 5 "
+                        "arguments");
+        return NULL;
+    }
+    if (!S.ready) {
+        PyErr_SetString(PyExc_RuntimeError, "engine not configured");
+        return NULL;
+    }
+    PyObject *gen = args[0], *fallback = args[2];
+    PyObject *op;
+    int rc = step_resume(gen, args[3], args[4], &op);
+    while (rc == 1) {
+        PyObject *tp = (PyObject *)Py_TYPE(op);
+        PyObject *value;
+        if (tp == S.tp_park) {
+            return op;
+        }
+        if (tp == S.tp_read) {
+            PyObject *cell = slot_get(op, S.op_read_cell);
+            value = cell ? slot_get(cell, S.c_value) : NULL;
+            Py_XINCREF(value);
+        }
+        else if (tp == S.tp_faa || tp == S.tp_cas || tp == S.tp_gas
+                 || tp == S.tp_write) {
+            PyObject *cell = slot_get(op, store_cell_off(tp));
+            value = cell ? mem_apply(tp, op, cell) : NULL;
+        }
+        else {
+            PyObject *fargs[2] = {op, args[1]};
+            value = PyObject_Vectorcall(fallback, fargs, 2, NULL);
+        }
+        Py_DECREF(op);
+        if (value == NULL) {
+            return NULL;
+        }
+        rc = step_resume(gen, value, Py_None, &op);
+        Py_DECREF(value);
+    }
+    return rc == 0 ? op : NULL;
+}
+
 static PyObject *
 engine_configured(PyObject *self, PyObject *noargs)
 {
@@ -4749,10 +4783,9 @@ static PyMethodDef engine_methods[] = {
      "_run_general)."},
     {"configured", engine_configured, METH_NOARGS,
      "True once configure() has validated the object layouts."},
-    {"drive_sync", (PyCFunction)(void (*)(void))engine_drive_sync,
-     METH_FASTCALL,
-     "drive_sync(gen, handle, fallback): run a non-suspending channel "
-     "operation to completion, applying memory ops natively."},
+    {"step", (PyCFunction)(void (*)(void))engine_step, METH_FASTCALL,
+     "step(gen, handle, fallback, value, exc): run a channel operation "
+     "until it returns or parks, applying memory ops natively."},
     {"kernel_rz_send", (PyCFunction)(void (*)(void))engine_kernel_rz_send,
      METH_FASTCALL, "Native RendezvousChannel._send_fused kernel."},
     {"kernel_rz_recv", (PyCFunction)(void (*)(void))engine_kernel_rz_recv,

@@ -1,6 +1,14 @@
 """asyncio adapter for the channel algorithms."""
 
-from .channel import AsyncChannel, drive_async, drive_sync
+from .channel import AsyncChannel, ParkedOp, drive_async, drive_sync
 from .select import on_receive, on_send, select_async
 
-__all__ = ["AsyncChannel", "drive_async", "drive_sync", "select_async", "on_send", "on_receive"]
+__all__ = [
+    "AsyncChannel",
+    "ParkedOp",
+    "drive_async",
+    "drive_sync",
+    "select_async",
+    "on_send",
+    "on_receive",
+]

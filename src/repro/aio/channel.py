@@ -18,18 +18,28 @@ benchmarks is driven here on the asyncio event loop:
   resumption beat the cancellation the operation completes normally
   (the element is never lost).
 
-Two lanes drive the generators.  The *sync lane* runs the operations
-that never suspend (``try_send``, ``try_receive``, ``close``,
-``cancel``) to completion in one call; :func:`drive_sync` is its
-reference.  On the compiled engine tier (``repro._engine``, selected by
-the same ``set_default_engine`` / ``REPRO_ENGINE`` / ``auto`` knob as
-the simulator) an :class:`AsyncChannel` without an event bus binds the
-native ``_enginec.drive_sync`` instead: it applies the exact-type
-memory ops in C and hands every other op to the same Python fallback,
-so both drivers produce identical results.  The served stack
-(``repro.net``) completes almost every op on this lane.  The *parked
-lane*, :func:`drive_async`, stays in Python: there, parking and
-wake-ups cost far more than stepping the generator.
+One stepping core drives every operation: it resumes the operation
+with a value, or throws an exception into it, and runs it until it
+returns or reaches ``ParkTask``; it then returns the result or the
+park.  The drivers are thin wrappers over it: :func:`drive_sync` (the
+lane for ``try_send``, ``try_receive``, ``close`` and ``cancel``) raises
+on a park, :func:`drive_async` awaits a future between steps, and
+unwinding a cancelled operation steps it with a throw.
+:meth:`AsyncChannel.start` runs ``send``/``receive`` in one pass and
+returns the result or a :class:`ParkedOp`, whose waiter is already in
+the channel; ``await`` finishes it and :meth:`ParkedOp.abandon` cancels
+it.  The served stack (``repro.net``) runs every ``SEND``/``RECEIVE``
+this way.
+
+On the compiled engine tier (``repro._engine``, selected by the same
+``set_default_engine`` / ``REPRO_ENGINE`` / ``auto`` knob as the
+simulator) an :class:`AsyncChannel` without an event bus binds the
+native ``_enginec.step``: it applies the exact-type memory ops in C and
+hands every other op to the same Python fallback, so both cores produce
+identical results.  An exact rendezvous or buffered channel then also
+steps the native send/receive kernels (the compiled fused frames)
+instead of the generators.  The Python :func:`_step` is the reference
+and serves the py tier and channels with a bus.
 
 Example::
 
@@ -61,10 +71,13 @@ from ..concurrent.ops import (
     UnparkTask,
     is_memory_op,
 )
+from ..core.buffered import BufferedChannel
 from ..core.channel import make_channel
+from ..core.rendezvous import RendezvousChannel
 from ..core.segments import DEFAULT_SEGMENT_SIZE
 from ..errors import ChannelClosedForReceive, Interrupted, RetryWakeup, SchedulerError
 from ..obs.events import EventBus, emit_op_events
+from ..runtime.waiter import NO_PERMIT, take_permit
 
 
 def _now_us() -> int:
@@ -72,7 +85,7 @@ def _now_us() -> int:
 
     return time.monotonic_ns() // 1000
 
-__all__ = ["AsyncChannel", "drive_async", "drive_sync"]
+__all__ = ["AsyncChannel", "ParkedOp", "drive_async", "drive_sync"]
 
 
 async def _with_deadline(coro, timeout: float):
@@ -122,7 +135,12 @@ class _suppress_cancel:
 
 
 class _AioTaskHandle:
-    """The driver's task object (what ``curCor()`` binds waiters to)."""
+    """The driver's task object (what ``curCor()`` binds waiters to).
+
+    One is made only when an operation first asks for it, on its way to
+    parking; until then the stepping core carries the operation's name
+    in its place (:func:`_apply_other`).
+    """
 
     __slots__ = (
         "future",
@@ -130,7 +148,6 @@ class _AioTaskHandle:
         "interrupt_pending",
         "retry_pending",
         "current_waiter",
-        "done",
         "name",
     )
 
@@ -140,25 +157,20 @@ class _AioTaskHandle:
         self.interrupt_pending = False
         self.retry_pending = False
         self.current_waiter: Any = None
-        self.done = False
         self.name = name
 
 
-def _apply_simple(op: Op, handle: _AioTaskHandle) -> Any:
-    """Apply one non-park op; returns the value to send into the generator."""
+def _apply_other(op: Op, handle: Any) -> Any:
+    """Apply one op that is neither ``ParkTask`` nor exactly one of the
+    five memory-op types; the stepping core's fallback on both tiers.
 
-    apply = MEMORY_OP_APPLIERS.get(type(op))
-    if apply is not None:
-        return apply(op)
-    return _apply_other(op, handle)
-
-
-def _apply_other(op: Op, handle: _AioTaskHandle) -> Any:
-    """Apply one op that is not exactly one of the five memory-op types."""
+    ``handle`` is the operation's :class:`_AioTaskHandle`, or its name
+    while it has none: ``CurrentTask`` then makes the handle.
+    """
 
     t = type(op)
     if t is CurrentTask:
-        return handle
+        return handle if type(handle) is _AioTaskHandle else _AioTaskHandle(handle)
     if t is UnparkTask:
         target: _AioTaskHandle = op.task  # type: ignore[attr-defined]
         fut = target.future
@@ -183,16 +195,51 @@ def _apply_other(op: Op, handle: _AioTaskHandle) -> Any:
     return None
 
 
-def _sync_fallback(op: Op, handle: _AioTaskHandle) -> Any:
-    """The sync lane's path for every op the appliers do not take.
+def _step(
+    gen: Generator[Any, Any, Any],
+    handle: Any,
+    fallback: Callable[[Op, Any], Any] = _apply_other,
+    value: Any = None,
+    exc: Optional[BaseException] = None,
+    bus: Optional[EventBus] = None,
+) -> Any:
+    """The stepping core: resume ``gen`` and run it until it returns or parks.
 
-    Shared by :func:`drive_sync` and the native driver, so both treat
-    ``ParkTask``, scheduling ops and memory-op subclasses the same way.
+    ``gen`` is resumed with ``value``, or ``exc`` is thrown into it.
+    Exact-type memory ops go through the appliers, ``ParkTask`` stops
+    the run, and every other op goes to ``fallback(op, handle)``;
+    ``handle`` is the operation's task handle or, until it asks for
+    one, its name.
+    Returns the operation's result, or the ``ParkTask`` op it stopped
+    at (no channel operation returns one); exceptions propagate.  With
+    an active ``bus`` every executed op is emitted as structured events.
+    The native ``_enginec.step`` has the same contract without ``bus``.
     """
 
-    if type(op) is ParkTask:
+    observing = bus is not None and bus.active
+    if observing:
+        name = handle if type(handle) is str else handle.name
+    try:
+        op = gen.send(value) if exc is None else gen.throw(exc)
+        while type(op) is not ParkTask:
+            apply = MEMORY_OP_APPLIERS.get(type(op))
+            value = apply(op) if apply is not None else fallback(op, handle)
+            if observing:
+                emit_op_events(bus, name, op, result=value, clock=_now_us())
+            op = gen.send(value)
+    except StopIteration as stop:
+        return stop.value
+    return op
+
+
+def _drive(step: Callable[..., Any], gen: Generator[Any, Any, Any],
+           handle: Optional[_AioTaskHandle] = None) -> Any:
+    """Run an operation that must not suspend to completion."""
+
+    result = step(gen, handle or "sync-op", _apply_other, None, None)
+    if type(result) is ParkTask:
         raise SchedulerError("drive_sync used on a suspending operation")
-    return _apply_other(op, handle)
+    return result
 
 
 def drive_sync(
@@ -202,39 +249,19 @@ def drive_sync(
 ) -> Any:
     """Drive an operation that must not suspend (try-ops, close, interrupt).
 
-    The reference for the native ``_enginec.drive_sync``, which has the
-    same shape without ``bus``: exact-type memory ops through the
-    appliers, everything else through :func:`_sync_fallback`.
+    A park raises :class:`~repro.errors.SchedulerError`.
     """
 
-    handle = handle or _AioTaskHandle("sync-op")
-    to_send: Any = None
-    while True:
-        try:
-            op = gen.send(to_send)
-        except StopIteration as stop:
-            return stop.value
-        apply = MEMORY_OP_APPLIERS.get(type(op))
-        to_send = apply(op) if apply is not None else _sync_fallback(op, handle)
-        if bus is not None and bus.active:
-            emit_op_events(bus, handle.name, op, result=to_send, clock=_now_us())
+    return _drive(_stepper(bus), gen, handle)
 
 
-def _sync_driver(bus: Optional[EventBus]) -> Callable[[Generator[Any, Any, Any]], Any]:
-    """The sync-lane driver a new :class:`AsyncChannel` binds.
-
-    Native on the c tier; the Python :func:`drive_sync` on the py tier
-    and for a channel with a bus, since only it emits per-op events.
-    """
-
-    if bus is None and _engine.resolve() == "c":
-        native = _engine.sync_driver()
-        return lambda gen: native(gen, _AioTaskHandle("sync-op"), _sync_fallback)
-    return functools.partial(drive_sync, bus=bus)
-
-
-def _unwind_with(gen: Generator[Any, Any, Any], exc: BaseException, handle: "_AioTaskHandle") -> None:
-    """Throw ``exc`` into ``gen`` and drive its cleanup ops to completion.
+def _unwind_with(
+    gen: Generator[Any, Any, Any],
+    exc: BaseException,
+    handle: _AioTaskHandle,
+    step: Callable[..., Any] = _step,
+) -> None:
+    """Throw ``exc`` into ``gen`` and step its cleanup ops.
 
     The unwinding path of a channel operation performs memory ops (cell
     neutralization) but never parks; any exception it settles on is
@@ -242,18 +269,112 @@ def _unwind_with(gen: Generator[Any, Any, Any], exc: BaseException, handle: "_Ai
     (``KeyboardInterrupt``, ``SystemExit``) are not swallowed.
     """
 
-    to_send: Any = None
     try:
-        op = gen.throw(exc)
-        while True:
-            if type(op) is ParkTask:
-                raise SchedulerError("operation parked while unwinding")
-            to_send = _apply_simple(op, handle)
-            op = gen.send(to_send)
-    except StopIteration:
-        pass
+        step(gen, handle, _apply_other, None, exc)
     except Exception:  # noqa: BLE001 - the caller raises its own
         pass
+
+
+class ParkedOp:
+    """A started channel operation that is parked in its cell.
+
+    :meth:`AsyncChannel.start` returns one when the operation suspends.
+    Its waiter already sits in the channel, so a peer may resume it at
+    any time; that resumption is kept as a permit until the op is
+    awaited.  Await it once to finish the operation, or call
+    :meth:`abandon` to cancel it without awaiting.  Cancelling the task
+    that awaits it maps onto the paper's ``interrupt()``: the
+    ``onInterrupt`` cleanup moves the cell to ``INTERRUPTED_*`` before
+    ``CancelledError`` propagates, and if a resumption beat the
+    cancellation the operation completes normally instead, so the
+    element is never lost.
+    """
+
+    __slots__ = ("_gen", "_handle", "_step", "_bus", "_park")
+
+    def __init__(self, gen: Generator[Any, Any, Any], handle: _AioTaskHandle,
+                 step: Callable[..., Any], bus: Optional[EventBus], park: ParkTask):
+        self._gen = gen
+        self._handle = handle
+        self._step = step
+        self._bus = bus
+        self._park = park
+
+    def _resume(self, result: Any) -> Any:
+        """Honour permits at a park; the result, or ``self`` while parked."""
+
+        handle = self._handle
+        while type(result) is ParkTask:
+            wake = take_permit(handle)
+            if wake is NO_PERMIT:
+                self._park = result
+                return self
+            result = self._step(self._gen, handle, _apply_other, None, wake)
+        return result
+
+    def __await__(self):
+        return self._wait().__await__()
+
+    async def _wait(self) -> Any:
+        handle, bus = self._handle, self._bus
+        result = self._resume(self._park)  # permits since the park
+        while result is self:
+            fut = handle.future = asyncio.get_running_loop().create_future()
+            if bus is not None and bus.active:
+                emit_op_events(bus, handle.name, self._park, clock=_now_us(), parked=True)
+            wake: Optional[BaseException] = None
+            try:
+                await fut
+            except (Interrupted, RetryWakeup) as exc:
+                wake = exc  # delivered via the waiter protocol
+            except asyncio.CancelledError:
+                handle.future = None
+                return self._abandon(fut)
+            handle.future = None
+            result = self._resume(self._step(self._gen, handle, _apply_other, None, wake))
+        return result
+
+    def abandon(self) -> Any:
+        """Cancel the operation now, through the waiter's ``interrupt()``.
+
+        Returns the operation's result if a resumption beat the
+        interrupt; otherwise the cell is neutralized, the operation is
+        unwound and :class:`asyncio.CancelledError` is raised.
+        """
+
+        return self._abandon(None)
+
+    def _abandon(self, fut: Optional[asyncio.Future]) -> Any:
+        handle, step, gen = self._handle, self._step, self._gen
+        # The interrupt generator contains no parks; drive it inline so
+        # the onInterrupt cleanup runs before anything else.
+        if not _drive(step, self._park.waiter.interrupt(), handle):  # type: ignore[attr-defined]
+            # A resumption won: it reached the future before the
+            # cancellation did, or it found the future cancelled (or
+            # absent) and left a permit.
+            if fut is not None and fut.done() and not fut.cancelled():
+                wake = fut.exception()
+            else:
+                wake = take_permit(handle)
+            if wake is None:
+                # The operation logically completed: finish it.
+                return _drive(step, gen, handle)
+        # Unwind by delivering Interrupted at the park point and stepping
+        # its cleanup ops (select uses this to neutralize losing
+        # registrations); a plain gen.close() would forbid those yields.
+        _unwind_with(gen, Interrupted(), handle, step)
+        raise asyncio.CancelledError()
+
+
+def _start(gen: Generator[Any, Any, Any], name: str,
+           step: Callable[..., Any], bus: Optional[EventBus]) -> Any:
+    """Run ``gen`` until it completes (its result) or parks (a ParkedOp,
+    whose task handle is the parked waiter's ``task``)."""
+
+    result = step(gen, name, _apply_other, None, None)
+    if type(result) is ParkTask:
+        return ParkedOp(gen, result.waiter.task, step, bus, result)._resume(result)
+    return result
 
 
 async def drive_async(
@@ -269,73 +390,38 @@ async def drive_async(
     monotonic microseconds.
     """
 
-    handle = _AioTaskHandle(name)
-    observing = bus is not None and bus.active
-    to_send: Any = None
-    to_throw: Optional[BaseException] = None
-    while True:
-        try:
-            if to_throw is not None:
-                exc, to_throw = to_throw, None
-                op = gen.throw(exc)
-            else:
-                op = gen.send(to_send)
-                to_send = None
-        except StopIteration as stop:
-            handle.done = True
-            return stop.value
-        if type(op) is not ParkTask:
-            to_send = _apply_simple(op, handle)
-            if observing:
-                emit_op_events(bus, name, op, result=to_send, clock=_now_us())
-            continue
-        # Park: honour permits, then await the suspension future.
-        if handle.interrupt_pending:
-            handle.interrupt_pending = False
-            to_throw = Interrupted()
-            continue
-        if handle.retry_pending:
-            handle.retry_pending = False
-            to_throw = RetryWakeup()
-            continue
-        if handle.unpark_pending:
-            handle.unpark_pending = False
-            continue
-        waiter = op.waiter  # type: ignore[attr-defined]
-        handle.future = asyncio.get_running_loop().create_future()
-        if observing:
-            emit_op_events(bus, name, op, clock=_now_us(), parked=True)
-        try:
-            await handle.future
-            handle.future = None
-            continue  # resumed normally
-        except (Interrupted, RetryWakeup) as exc:
-            handle.future = None
-            to_throw = exc  # delivered via the waiter protocol
-            continue
-        except asyncio.CancelledError:
-            fut = handle.future
-            handle.future = None
-            # Map asyncio cancellation onto the paper's interrupt().  The
-            # interrupt generator contains no parks; drive it inline so
-            # the onInterrupt cleanup runs before we propagate.
-            won = drive_sync(waiter.interrupt(), handle)
-            if won:
-                # Unwind the operation by delivering Interrupted at the
-                # park point and driving its cleanup ops to completion
-                # (select uses this to neutralize losing registrations);
-                # a plain gen.close() would forbid those yields.
-                _unwind_with(gen, Interrupted(), handle)
-                raise
-            # A resumption beat the cancellation: the operation logically
-            # completed — finish it rather than lose the element.
-            if fut is not None and fut.done() and fut.exception() is None:
-                continue
-            if handle.unpark_pending:
-                handle.unpark_pending = False
-                continue
-            _unwind_with(gen, Interrupted(), handle)
-            raise
+    result = _start(gen, name, _stepper(bus), bus)
+    if type(result) is ParkedOp:
+        return await result
+    return result
+
+
+def _stepper(bus: Optional[EventBus]) -> Callable[..., Any]:
+    """The Python stepping core, bound to ``bus`` when there is one."""
+
+    return _step if bus is None else functools.partial(_step, bus=bus)
+
+
+def _bind(ch: Any, bus: Optional[EventBus]) -> tuple[Callable[..., Any], Any, Any]:
+    """The stepping core and send/receive kernel factories a channel binds.
+
+    On the c tier a channel without a bus steps natively, and an exact
+    :class:`~repro.core.rendezvous.RendezvousChannel` or
+    :class:`~repro.core.buffered.BufferedChannel` takes its PARK-mode
+    send/receive kernels straight from the engine's kernel namespace
+    (``None`` when ``REPRO_NO_ALG_KERNELS``/``REPRO_NO_FAST_OPS`` turn
+    them off).  The Python :func:`_step` serves the py tier and every
+    channel with a bus, since only it emits per-op events.
+    """
+
+    if bus is not None or _engine.resolve() != "c":
+        return _stepper(bus), None, None
+    kernels = _engine.kernels()
+    if kernels is not None and type(ch) is RendezvousChannel:
+        return _engine.stepper(), kernels.rz_send, kernels.rz_recv
+    if kernels is not None and type(ch) is BufferedChannel:
+        return _engine.stepper(), kernels.buf_send, kernels.buf_recv
+    return _engine.stepper(), None, None
 
 
 class AsyncChannel:
@@ -374,7 +460,10 @@ class AsyncChannel:
             raise ValueError(f"unknown overflow policy: {overflow!r}")
         self.name = name
         self.bus = bus
-        self._drive_sync = _sync_driver(bus)
+        self._send_name = f"{name}.send"
+        self._receive_name = f"{name}.receive"
+        self._step, self._send_kernel, self._receive_kernel = _bind(self._ch, bus)
+        self._drive_sync = functools.partial(_drive, self._step)
 
     @property
     def capacity(self) -> int:
@@ -388,6 +477,39 @@ class AsyncChannel:
 
     # ------------------------------------------------------------------
 
+    def start(self, op: str, element: Any = None) -> Any:
+        """Start ``send``/``receive``/``receive_catching`` synchronously.
+
+        ``op`` names the operation (``element`` is the one to send).  The
+        operation runs until it completes or parks: the result is
+        returned (``None`` for a send), or a :class:`ParkedOp` whose
+        waiter is already in the channel.  Await the :class:`ParkedOp`
+        to finish the operation, or :meth:`~ParkedOp.abandon` it.
+        Channel errors (closed, ``None`` element) raise here.
+        """
+
+        ch = self._ch
+        if op == "send":
+            kernel = self._send_kernel
+            gen = None
+            if kernel is not None and element is not None and ch.observer is None:
+                gen = kernel(ch, element)
+            if gen is None:
+                gen = ch.send(element)
+            name = self._send_name
+        elif op == "receive":
+            kernel = self._receive_kernel
+            gen = kernel(ch) if kernel is not None and ch.observer is None else None
+            if gen is None:
+                gen = ch.receive()
+            name = self._receive_name
+        elif op == "receive_catching":
+            gen = ch.receive_catching()
+            name = self._receive_name
+        else:
+            raise ValueError(f"unknown channel operation: {op!r}")
+        return _start(gen, name, self._step, self.bus)
+
     async def send(self, element: Any, *, timeout: Optional[float] = None) -> None:
         """Send, suspending while the channel is full (or unpaired).
 
@@ -397,11 +519,9 @@ class AsyncChannel:
         :class:`asyncio.TimeoutError` is raised.
         """
 
-        op = drive_async(self._ch.send(element), f"{self.name}.send", self.bus)
-        if timeout is None:
-            await op
-        else:
-            await _with_deadline(op, timeout)
+        op = self.start("send", element)
+        if type(op) is ParkedOp:
+            await (op if timeout is None else _with_deadline(op, timeout))
 
     async def receive(self, *, timeout: Optional[float] = None) -> Any:
         """Receive, suspending while the channel is empty.
@@ -412,18 +532,18 @@ class AsyncChannel:
         is returned rather than lost.
         """
 
-        op = drive_async(self._ch.receive(), f"{self.name}.receive", self.bus)
-        if timeout is None:
-            return await op
-        return await _with_deadline(op, timeout)
+        op = self.start("receive")
+        if type(op) is not ParkedOp:
+            return op
+        return await (op if timeout is None else _with_deadline(op, timeout))
 
     async def receive_catching(self, *, timeout: Optional[float] = None) -> tuple[bool, Any]:
         """Like :meth:`receive`, but ``(False, None)`` once closed."""
 
-        op = drive_async(self._ch.receive_catching(), f"{self.name}.receive", self.bus)
-        if timeout is None:
-            return await op
-        return await _with_deadline(op, timeout)
+        op = self.start("receive_catching")
+        if type(op) is not ParkedOp:
+            return op
+        return await (op if timeout is None else _with_deadline(op, timeout))
 
     def try_send(self, element: Any) -> bool:
         """Non-blocking send (synchronous: it never suspends)."""

@@ -81,8 +81,9 @@ __all__ = [
 #: otherwise the wrapper returns the ordinary fused generator.  Kernels
 #: are never installed for the pure-Python tier, the observed path, or
 #: when ``REPRO_NO_ALG_KERNELS``/``REPRO_NO_FAST_OPS`` is set, so every
-#: other driver (explorer, asyncio, threads) always sees plain
-#: generators.
+#: other driver (explorer, threads) sees plain generators.  The asyncio
+#: adapter never reads this slot: on the c tier it binds the factories
+#: per channel (``repro._engine.kernels()``).
 KERNELS: Any = None
 
 

@@ -1,35 +1,45 @@
 """asyncio server multiplexing channel operations over TCP connections.
 
 One connection carries many concurrent operations.  The reader loop
-decodes frames and, since protocol v2, splits them across two lanes:
+decodes frames and runs each op in a single pass, inline (no task
+spawn, no context switch):
 
-* **Synchronous fast lane.**  Most ops against a healthy channel
+* **Completed ops reply at once.**  Most ops against a healthy channel
   complete without suspending — a ``SEND`` into a non-full buffer, a
-  ``RECEIVE`` from a non-empty one, every try-op, OPEN/CLOSE/CANCEL.
-  These execute inline in the reader (no task spawn, no context
-  switch) via the channel's ``try_*`` entry points and their replies
-  coalesce into the connection's write buffer.  A ``BATCH`` frame runs
-  through :meth:`ChannelServer._run_batch`, which memoizes registry
-  lookups, applies every sub-op in one pass, folds the registry
-  accounting into one clock read, and emits the replies as **one
-  batched frame**.
-* **Parked lane.**  Ops that must suspend (``SEND`` against a full
-  channel, ``RECEIVE`` from an empty one) are dispatched as their own
-  asyncio task, exactly as protocol v1 did for everything, so a parked
-  ``RECEIVE`` never blocks a pipelined ``SEND`` behind it.
+  ``RECEIVE`` from a non-empty one, every try-op, OPEN/CLOSE/CANCEL —
+  and their replies coalesce into the connection's write buffer.
+  ``SEND``/``RECEIVE`` start as the channel's own suspending operation
+  (:meth:`~repro.aio.AsyncChannel.start`, the native kernels on the c
+  tier), not as a try-op followed by a second, parking attempt.  A
+  ``BATCH`` frame runs through :meth:`ChannelServer._run_batch`, which
+  memoizes registry lookups, applies every sub-op in one pass, folds
+  the registry accounting into one clock read, and emits the replies
+  as **one batched frame**.
+* **Parked ops get a task.**  A ``SEND`` against a full channel or a
+  ``RECEIVE`` from an empty one parks in its cell during that pass;
+  the reader then admits it (below) and an asyncio task awaits it, so
+  a parked ``RECEIVE`` never blocks a pipelined ``SEND`` behind it.
+  Until that task first runs, the parked op already holds its cell:
+  every path that can cancel it in that window (a ``CANCEL_OP`` in the
+  same batch, connection teardown, shutdown, cancellation while the
+  reader awaits admission) abandons it through the interrupt protocol,
+  and if a resumption won the race the reply is ``OK`` with the result.
 
 Three properties the paper's semantics force on the design:
 
 * **Backpressure is the channel's, not the socket buffer's.**  A
-  ``SEND`` against a full channel *awaits* ``channel.send`` — the op
-  holds its in-flight slot while parked, and once a connection's
+  ``SEND`` against a full channel parks in it — the op holds an
+  in-flight slot while parked, and once a connection's
   ``max_inflight`` slots — or, new in v2, ``max_inflight_bytes`` of
-  parked frame payload — are taken the reader stops reading.  The
-  reader also stops while the connection's outgoing buffer sits above
-  the transport watermark (a peer that stops *reading* its replies
-  cannot keep submitting work).  TCP flow control then pushes back on
-  the remote writer: a full channel slows the producing client instead
-  of buffering frames unboundedly in server memory.
+  parked frame payload — are taken the reader stops reading.  The slot
+  is taken after the park, so a ``SEND`` that completes at once (it
+  may be the very op that wakes a parked ``RECEIVE``) never waits
+  behind full slots.  The reader also stops while the connection's
+  outgoing buffer sits above the transport watermark (a peer that
+  stops *reading* its replies cannot keep submitting work).  TCP flow
+  control then pushes back on the remote writer: a full channel slows
+  the producing client instead of buffering frames unboundedly in
+  server memory.
 
 * **Close vs. cancel propagates over the wire (§4.3).**  An op failing
   because the channel was closed reports ``CLOSED{cancelled=false}``
@@ -69,6 +79,7 @@ import contextlib
 import sys
 from typing import Any, Optional
 
+from ..aio import ParkedOp
 from ..errors import (
     ChannelClosedForReceive,
     ChannelClosedForSend,
@@ -124,9 +135,6 @@ DEFAULT_MAX_INFLIGHT_BYTES = 8 * 1024 * 1024
 
 _READ_CHUNK = 64 * 1024
 
-#: Sentinel: the op cannot complete synchronously and must park.
-_PARK = object()
-
 #: Sentinel: the op targets a channel owned by another cluster worker
 #: and must be relayed over the inter-worker connection.
 _FORWARD = object()
@@ -140,6 +148,26 @@ _CHANNEL_OPS = frozenset(
 
 #: Ops the graceful drain waits for (accepted sends must land).
 _SEND_OPS = frozenset((OP_SEND, OP_SEND_B, OP_TRY_SEND))
+
+
+class _Parked:
+    """A ``SEND``/``RECEIVE`` parked in its channel, with its registry entry.
+
+    The entry's ``inflight`` count stays raised until the op settles, so
+    the idle GC never collects a channel that still has parked ops.
+    """
+
+    __slots__ = ("op", "entry")
+
+    def __init__(self, op: ParkedOp, entry: Any):
+        self.op = op
+        self.entry = entry
+
+
+def _ok_payload(op: int, value: Any) -> dict:
+    """The ``OK`` payload of a completed ``SEND``/``RECEIVE``."""
+
+    return {} if op == OP_SEND or op == OP_SEND_B else {"value": value}
 
 
 def _encode_reply_into(buf: bytearray, version: int, op: int, req_id: int, payload: dict) -> None:
@@ -452,9 +480,10 @@ class ChannelServer:
             entry[1].cancel()
 
     def _op_done(
-        self, conn: _Connection, req_id: int, size: int, task: asyncio.Task, replied: list
+        self, conn: _Connection, frame: Frame, size: int, task: asyncio.Task,
+        replied: list, parked: Optional[_Parked],
     ) -> None:
-        conn.inflight.pop(req_id, None)
+        conn.inflight.pop(frame.req_id, None)
         conn.slots.release()
         conn.inflight_bytes -= size
         conn.bytes_freed.set()
@@ -463,10 +492,36 @@ class ChannelServer:
         if task.cancelled() and not replied[0]:
             # Cancelled before the op coroutine ever ran (e.g. a
             # CANCEL_OP in the same batch/chunk that parked it), so
-            # _run_op's own CancelledError path could not answer.
-            self._respond(
-                conn, OP_CLOSED, req_id, {"cancelled": True, "reason": "interrupt"}
-            )
+            # _run_op's own CancelledError path could not answer, and a
+            # parked op still holds its cell.
+            if parked is not None:
+                self._abandon(conn, frame, parked)
+            else:
+                self._respond(
+                    conn, OP_CLOSED, frame.req_id, {"cancelled": True, "reason": "interrupt"}
+                )
+
+    def _abandon(self, conn: _Connection, frame: Frame, parked: _Parked) -> None:
+        """Cancel a parked op that no task is awaiting, and answer it.
+
+        If a resumption beat the interrupt the op has completed: the
+        reply is ``OK`` with its result, never ``CLOSED`` for an element
+        that was delivered.
+        """
+
+        entry = parked.entry
+        try:
+            value = parked.op.abandon()
+        except asyncio.CancelledError:
+            self._respond(conn, OP_CLOSED, frame.req_id, {"cancelled": True, "reason": "interrupt"})
+        except Exception as exc:  # noqa: BLE001 - never kill the connection for one op
+            op, payload = self._failure_reply(frame, exc)
+            self._respond(conn, op, frame.req_id, payload)
+        else:
+            self.registry.record_op(entry)
+            self._respond(conn, OP_OK, frame.req_id, _ok_payload(frame.op, value))
+        finally:
+            entry.inflight -= 1
 
     async def _close_connection(self, conn: _Connection) -> None:
         # Let in-flight ops finish writing their teardown notifications,
@@ -489,7 +544,7 @@ class ChannelServer:
 
     async def _dispatch(self, conn: _Connection, frame: Frame, *,
                         no_forward: bool = False) -> None:
-        """Run one non-batched request: sync fast lane, park, or relay."""
+        """Run one non-batched request in one pass: reply, park, or relay."""
 
         self.ops_served += 1
         if self._ops_counter is not None:
@@ -500,8 +555,8 @@ class ChannelServer:
             op, payload = self._failure_reply(frame, exc)
             self._respond(conn, op, frame.req_id, payload)
             return
-        if result is _PARK:
-            await self._admit(conn, frame)
+        if type(result) is _Parked:
+            await self._admit(conn, frame, result)
         elif result is _FORWARD:
             await self._admit(conn, frame, forward=True)
         else:
@@ -596,8 +651,8 @@ class ChannelServer:
             except Exception as exc:  # noqa: BLE001
                 reply_op, payload = self._failure_reply(sub, exc)
             else:
-                if result is _PARK:
-                    await self._admit(conn, sub)
+                if type(result) is _Parked:
+                    await self._admit(conn, sub, result)
                     continue
                 if result is _FORWARD:
                     await self._admit(conn, sub, forward=True)
@@ -614,30 +669,46 @@ class ChannelServer:
         if touched:
             self.registry.record_batch(touched)
 
-    async def _admit(self, conn: _Connection, frame: Frame, *, forward: bool = False) -> None:
-        """Backpressure gate for the parked lane: op slots + byte budget."""
+    async def _admit(self, conn: _Connection, frame: Frame, parked: Optional[_Parked] = None,
+                     *, forward: bool = False) -> None:
+        """Backpressure gate for the parked lane: op slots + byte budget.
 
-        await conn.slots.acquire()
+        A parked op already holds its cell while the reader waits here;
+        if the reader is cancelled meanwhile (connection teardown,
+        shutdown), the op is abandoned and answered before the
+        cancellation propagates.
+        """
+
         size = frame.wire_bytes
-        while conn.inflight_bytes > 0 and conn.inflight_bytes + size > self.max_inflight_bytes:
-            conn.bytes_freed.clear()
-            await conn.bytes_freed.wait()
+        acquired = False
+        try:
+            await conn.slots.acquire()
+            acquired = True
+            while conn.inflight_bytes > 0 and conn.inflight_bytes + size > self.max_inflight_bytes:
+                conn.bytes_freed.clear()
+                await conn.bytes_freed.wait()
+        except BaseException:
+            if acquired:
+                conn.slots.release()
+            if parked is not None:
+                self._abandon(conn, frame, parked)
+            raise
         conn.inflight_bytes += size
         replied = [False]
         task = asyncio.get_running_loop().create_task(
-            self._run_op(conn, frame, replied, forward=forward)
+            self._run_op(conn, frame, replied, parked, forward=forward)
         )
         conn.inflight[frame.req_id] = (frame.op, task)
         task.add_done_callback(
-            lambda t, c=conn, rid=frame.req_id, sz=size, r=replied: self._op_done(
-                c, rid, sz, t, r
+            lambda t, c=conn, f=frame, sz=size, r=replied, pk=parked: self._op_done(
+                c, f, sz, t, r, pk
             )
         )
         if self.metrics is not None:
             self.metrics.gauge("inflight_ops").inc()
 
     async def _run_op(self, conn: _Connection, frame: Frame, replied: list,
-                      *, forward: bool = False) -> None:
+                      parked: Optional[_Parked], *, forward: bool = False) -> None:
         try:
             if forward:
                 # Relay to the owning worker and echo its exact reply —
@@ -655,9 +726,17 @@ class ChannelServer:
                 op = OP_OK if reply.op == OP_OK_B else reply.op
                 self._respond(conn, op, frame.req_id, reply.payload)
                 return
-            payload = await self._execute(frame)
+            # Finish the parked op.  Cancelling this task interrupts it
+            # (the waiter's interrupt protocol); a resumption that beat
+            # the cancellation completes it instead.
+            entry = parked.entry
+            try:
+                value = await parked.op
+            finally:
+                entry.inflight -= 1
+            self.registry.record_op(entry)
             replied[0] = True
-            self._respond(conn, OP_OK, frame.req_id, payload)
+            self._respond(conn, OP_OK, frame.req_id, _ok_payload(frame.op, value))
         except asyncio.CancelledError:
             # Interrupted (connection death, shutdown, CANCEL_OP): tell
             # the client this was a cancellation, not a channel close.
@@ -677,7 +756,11 @@ class ChannelServer:
 
     def _execute_sync(self, frame: Frame, touched: Optional[dict] = None,
                       *, no_forward: bool = False):
-        """Complete one op without suspending, or return ``_PARK``.
+        """Run one op in a single pass: its reply payload, or a ``_Parked``.
+
+        ``SEND``/``RECEIVE`` start as the channel's own suspending
+        operation; one that parks returns a ``_Parked`` for the caller
+        to admit.  Every other op completes here.
 
         ``touched`` (batch mode) memoizes registry lookups and defers
         per-op accounting to one :meth:`ChannelRegistry.record_batch`.
@@ -714,14 +797,17 @@ class ChannelServer:
                 cached = touched[name] = [entry, 0]
         channel = entry.channel
         if op == OP_SEND or op == OP_SEND_B:
-            if not channel.try_send(p.get("value")):
-                return _PARK
+            started = channel.start("send", p.get("value"))
+            if type(started) is ParkedOp:
+                entry.inflight += 1
+                return _Parked(started, entry)
             result: dict = {}
         elif op == OP_RECEIVE or op == OP_RECEIVE_B:
-            ok, value = channel.try_receive()
-            if not ok:
-                return _PARK
-            result = {"value": value}
+            started = channel.start("receive")
+            if type(started) is ParkedOp:
+                entry.inflight += 1
+                return _Parked(started, entry)
+            result = {"value": started}
         elif op == OP_TRY_SEND:
             result = {"success": channel.try_send(p.get("value"))}
         elif op == OP_TRY_RECEIVE:
@@ -735,25 +821,6 @@ class ChannelServer:
             cached[1] += 1
         else:
             self.registry.record_op(entry)
-        return result
-
-    async def _execute(self, frame: Frame) -> dict:
-        """Parked lane: the op genuinely suspends in the channel."""
-
-        op, p = frame.op, frame.payload
-        entry = self.registry.get(p.get("channel", ""))
-        entry.inflight += 1
-        try:
-            if op == OP_SEND or op == OP_SEND_B:
-                await entry.channel.send(p.get("value"))
-                result: dict = {}
-            elif op == OP_RECEIVE or op == OP_RECEIVE_B:
-                result = {"value": await entry.channel.receive()}
-            else:  # pragma: no cover - only send/receive can park
-                raise ProtocolError(f"op {OP_NAMES.get(op, op)} cannot park")
-        finally:
-            entry.inflight -= 1
-        self.registry.record_op(entry)
         return result
 
     def _failure_reply(self, frame: Frame, exc: Exception) -> tuple[int, dict]:

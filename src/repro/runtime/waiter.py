@@ -53,6 +53,8 @@ __all__ = [
     "Waiter",
     "WaiterState",
     "make_waiter",
+    "take_permit",
+    "NO_PERMIT",
     "INIT",
     "PARKED",
     "PERMIT",
@@ -270,3 +272,32 @@ def make_waiter() -> Generator[Any, Any, Waiter]:
     """``curCor()``: a fresh :class:`Waiter` for the running task."""
 
     return (yield from Waiter.make())
+
+
+#: :func:`take_permit` found no wake-up.
+NO_PERMIT = WaiterState("NO_PERMIT")
+
+
+def take_permit(task: Any) -> Any:
+    """Consume the wake-up a driver recorded on ``task`` for its park.
+
+    The real-time drivers (:mod:`repro.aio`, :mod:`repro.threads`) apply
+    an ``UnparkTask`` that finds its target not suspended by setting one
+    of the target's ``interrupt_pending`` / ``retry_pending`` /
+    ``unpark_pending`` flags; the target's next ``ParkTask`` takes it
+    here instead of suspending, so no wake-up is lost.  Returns the
+    exception to throw in at the park (:class:`Interrupted` or
+    :class:`RetryWakeup`), ``None`` for a plain unpark, or
+    :data:`NO_PERMIT`.
+    """
+
+    if task.interrupt_pending:
+        task.interrupt_pending = False
+        return Interrupted()
+    if task.retry_pending:
+        task.retry_pending = False
+        return RetryWakeup()
+    if task.unpark_pending:
+        task.unpark_pending = False
+        return None
+    return NO_PERMIT

@@ -25,17 +25,18 @@ import time
 from typing import Any, Generator, Optional
 
 from ..concurrent.ops import (
+    MEMORY_OP_APPLIERS,
     CurrentTask,
     Op,
     ParkTask,
     UnparkTask,
-    apply_memory_op,
     is_memory_op,
 )
 from ..core.channel import make_channel
 from ..core.segments import DEFAULT_SEGMENT_SIZE
-from ..errors import ChannelClosedForReceive, Interrupted, RetryWakeup
+from ..errors import ChannelClosedForReceive, Interrupted, SchedulerError
 from ..obs.events import EventBus, emit_op_events
+from ..runtime.waiter import NO_PERMIT, take_permit
 
 __all__ = ["BlockingChannel", "select_blocking"]
 
@@ -147,75 +148,77 @@ class BlockingChannel:
 
     def _drive(self, gen: Generator[Any, Any, Any], timeout: Optional[float]) -> Any:
         handle = _ThreadTaskHandle()
-        to_send: Any = None
-        to_throw: Optional[BaseException] = None
         lock = self._op_lock
+        wake: Any = None
         while True:
-            try:
-                if to_throw is not None:
-                    exc, to_throw = to_throw, None
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(to_send)
-                    to_send = None
-            except StopIteration as stop:
+            park = self._step(gen, handle, wake)
+            if type(park) is not ParkTask:
                 handle.done = True
-                return stop.value
-            if type(op) is ParkTask:
-                with lock:
-                    if handle.interrupt_pending:
-                        handle.interrupt_pending = False
-                        to_throw = Interrupted()
-                        continue
-                    if handle.retry_pending:
-                        handle.retry_pending = False
-                        to_throw = RetryWakeup()
-                        continue
-                    if handle.unpark_pending:
-                        handle.unpark_pending = False
-                        continue
+                return park
+            with lock:
+                wake = take_permit(handle)
+                if wake is NO_PERMIT:
                     handle.event.clear()
-                    bus = self.bus
-                    if bus is not None and bus.active:
-                        emit_op_events(
-                            bus,
-                            threading.current_thread().name,
-                            op,
-                            clock=time.monotonic_ns() // 1000,
-                            parked=True,
-                        )
-                if not handle.event.wait(timeout):
+                    if self.bus is not None and self.bus.active:
+                        self._emit(park, parked=True)
+            if wake is not NO_PERMIT:
+                continue
+            if not handle.event.wait(timeout):
+                # Cancel the parked waiter through the paper's interrupt().
+                if self._step(park.waiter.interrupt(), handle, None):  # type: ignore[attr-defined]
+                    # Its onInterrupt cleanup has neutralized the cell:
+                    # unwind the operation at the park point.
+                    try:
+                        self._step(gen, handle, Interrupted())
+                    except Exception:  # noqa: BLE001 - the timeout is what we raise
+                        pass
                     raise TimeoutError(
                         f"{self.name}: operation still parked after {timeout}s"
                     )
-                with lock:
-                    # Exactly one wake flag accompanies the event.set():
-                    # each waiter is resumed at most once.
-                    if handle.interrupt_pending:
-                        handle.interrupt_pending = False
-                        to_throw = Interrupted()
-                    elif handle.retry_pending:
-                        handle.retry_pending = False
-                        to_throw = RetryWakeup()
-                    elif handle.unpark_pending:
-                        handle.unpark_pending = False
-                continue
+                # A resumption beat the timeout: finish the operation.  Its
+                # UnparkTask may still be on its way (each op applies in
+                # its own hold of the op lock).
+                handle.event.wait()
             with lock:
-                to_send = self._apply(op, handle)
-                bus = self.bus
-                if bus is not None and bus.active:
-                    emit_op_events(
-                        bus,
-                        threading.current_thread().name,
-                        op,
-                        result=to_send,
-                        clock=time.monotonic_ns() // 1000,
-                    )
+                # Exactly one wake flag accompanies the event.set():
+                # each waiter is resumed at most once.
+                wake = take_permit(handle)
+            if wake is NO_PERMIT:
+                wake = None
+
+    def _step(self, gen: Generator[Any, Any, Any], handle: _ThreadTaskHandle, wake: Any) -> Any:
+        """Resume ``gen`` (throwing ``wake`` in when it is an exception)
+        and run it until it returns or parks: its result, or the
+        ``ParkTask`` op.  Each op applies under the op lock on its own,
+        so threads interleave between ops."""
+
+        lock, bus = self._op_lock, self.bus
+        try:
+            op = gen.throw(wake) if wake is not None else gen.send(None)
+            while type(op) is not ParkTask:
+                with lock:
+                    value = self._apply(op, handle)
+                    if bus is not None and bus.active:
+                        self._emit(op, result=value)
+                op = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        return op
+
+    def _emit(self, op: Op, **fields: Any) -> None:
+        emit_op_events(
+            self.bus,  # type: ignore[arg-type]
+            threading.current_thread().name,
+            op,
+            clock=time.monotonic_ns() // 1000,
+            **fields,
+        )
 
     @staticmethod
     def _apply(op: Op, handle: _ThreadTaskHandle) -> Any:
-        if is_memory_op(op):
-            return apply_memory_op(op)
+        apply = MEMORY_OP_APPLIERS.get(type(op))
+        if apply is not None:
+            return apply(op)
         t = type(op)
         if t is CurrentTask:
             return handle
@@ -229,6 +232,9 @@ class BlockingChannel:
                 target.unpark_pending = True
             target.event.set()
             return None
+        if is_memory_op(op):
+            # A subclass of a memory op: the appliers match exact types only.
+            raise SchedulerError(f"not a memory op: {op!r}")
         return None  # Yield / Spin / Work / Label / Alloc
 
 

@@ -252,3 +252,50 @@ class TestCancellation:
             return await ch.receive()
 
         assert run(main()) == 3
+
+
+@pytest.mark.usefixtures("class_tier")
+class TestCancelRacesResumption:
+    """A parked op cancelled just before a peer resumes it, with its task
+    not yet run again: the resumption wins and nothing is lost.  On the
+    py tier; rerun natively below."""
+
+    tier = "py"
+
+    def test_cancelled_receive_keeps_the_delivered_element(self):
+        async def main():
+            ch = AsyncChannel(0)
+            receiver = asyncio.create_task(ch.receive())
+            await asyncio.sleep(0)  # parked
+            receiver.cancel()
+            sent = ch.try_send("elem")
+            return sent, await receiver, ch.stats.sends, ch.stats.receives
+
+        assert run(main()) == (True, "elem", 1, 1)
+
+    def test_cancelled_send_completes_once_its_element_is_taken(self):
+        async def main():
+            ch = AsyncChannel(0)
+            sender = asyncio.create_task(ch.send("elem"))
+            await asyncio.sleep(0)  # parked
+            sender.cancel()
+            taken = ch.try_receive()
+            return taken, await sender, ch.stats.sends, ch.stats.receives
+
+        assert run(main()) == ((True, "elem"), None, 1, 1)
+
+    def test_parked_receive_with_timeout_gets_an_element_sent_in_time(self):
+        async def main():
+            ch = AsyncChannel(0)
+            receiver = asyncio.create_task(ch.receive(timeout=0.05))
+            await asyncio.sleep(0.01)
+            sent = ch.try_send("elem")
+            return sent, await receiver
+
+        assert run(main()) == (True, "elem")
+
+
+class TestCancelRacesResumptionNative(TestCancelRacesResumption):
+    """The same races on the c tier (native core and kernels)."""
+
+    tier = "c"

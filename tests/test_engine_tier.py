@@ -243,7 +243,7 @@ class TestFallback:
 
             assert asyncio.run(main()) == (True, (True, 1), True)
             assert _engine.probe_error_kind() == "stale-build"
-            assert "drive_sync" in _engine.probe_error()
+            assert "step" in _engine.probe_error()
             assert _engine.resolve("auto") == "py"
             """,
             REPRO_NO_ENGINE_EXT="0",
@@ -251,6 +251,40 @@ class TestFallback:
         assert cp.returncode == 0, cp.stdout + cp.stderr
         assert cp.stderr.count("compiled engine unavailable [stale-build]") == 1
         assert "rebuild: python setup.py build_ext --inplace" in cp.stderr
+
+    def test_sync_driver_only_build_is_stale(self):
+        # A build with the 3-argument drive_sync but not the stepping
+        # core that replaced it: the served ops must fall back to the
+        # Python core, send/receive included, rather than fail.
+        cp = _run_probeless(
+            """
+            import asyncio, sys, types
+
+            stub = types.ModuleType("repro._engine._enginec")
+            stub.configure = lambda cfg: None
+            stub.run_fast = stub.run_observed = lambda sched: None
+            stub.kernel_rz_send = lambda *args: None
+            stub.drive_sync = lambda gen, handle, fallback: None
+            sys.modules["repro._engine._enginec"] = stub
+
+            from repro import _engine
+            from repro.aio import AsyncChannel
+
+            async def main():
+                ch = AsyncChannel(0)
+                receiver = asyncio.ensure_future(ch.receive())
+                await asyncio.sleep(0)
+                await ch.send("x")
+                return await receiver, ch.try_send(1), ch.close()
+
+            assert asyncio.run(main()) == ("x", False, True)
+            assert _engine.probe_error_kind() == "stale-build"
+            assert "missing step" in _engine.probe_error()
+            """,
+            REPRO_NO_ENGINE_EXT="0",
+        )
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+        assert cp.stderr.count("compiled engine unavailable [stale-build]") == 1
 
     def test_explicit_c_async_channel_raises(self):
         cp = _run_probeless(
@@ -727,11 +761,17 @@ class TestBenchEngineGating:
         rows = run_selfperf(repeat=1, names=["counter-faa-t8"], engine="c")
         assert rows and all(r["engine"] == "c" for r in rows)
 
-    def test_selfperf_explicit_c_unavailable_fails_loudly(self):
-        # In-process only when the extension is genuinely absent; the
-        # subprocess variant in TestFallback covers the built tree.
-        if _engine.available():
-            pytest.skip("extension available; covered by TestFallback subprocess")
+    def test_selfperf_explicit_c_unavailable_fails_loudly(self, monkeypatch):
+        # Pin the probe outcome to "not built" so the check runs whether
+        # or not this tree holds a usable extension; the subprocess
+        # variants in TestFallback drive the real probe paths.
+        monkeypatch.setattr(_engine, "_probed", True)
+        monkeypatch.setattr(_engine, "_ext", None)
+        monkeypatch.setattr(
+            _engine, "_probe_error", "extension import failed: not built"
+        )
+        monkeypatch.setattr(_engine, "_probe_error_kind", "import-error")
+        assert not _engine.available()
         from repro.bench.selfperf import run_selfperf
         from repro.errors import EngineUnavailableError
 

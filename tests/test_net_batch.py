@@ -22,7 +22,10 @@ from repro.net.protocol import (
     OP_OK,
     OP_OK_B,
     OP_OPEN,
+    OP_RECEIVE,
     OP_SEND,
+    OP_TRY_RECEIVE,
+    OP_TRY_SEND,
     Frame,
     FrameDecoder,
     encode_batch,
@@ -390,3 +393,188 @@ class TestLoadgenSchema:
         assert row["batch"] is False
         assert row["window"] == 1
         assert row["ops_completed"] == 40
+
+
+async def _raw_client(server):
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    return reader, writer, FrameDecoder()
+
+
+async def _replies(reader, decoder, count):
+    """Read until ``count`` replies (or EOF); returns them by req_id."""
+
+    got = {}
+    while len(got) < count:
+        chunk = await reader.read(4096)
+        if not chunk:
+            break
+        for frame in decoder.feed(chunk):
+            got[frame.req_id] = frame
+    return got
+
+
+async def _open(reader, writer, decoder, name, capacity=0):
+    writer.write(encode_frame(OP_OPEN, 1, {"channel": name, "capacity": capacity}))
+    await writer.drain()
+    await _replies(reader, decoder, 1)
+
+
+def _is_interrupt(frame):
+    return frame.op == OP_CLOSED and frame.payload.get("reason") == "interrupt"
+
+
+async def _until(predicate, timeout=5.0):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.005)
+
+
+class TestParkedOps:
+    """A ``SEND``/``RECEIVE`` that parks holds its cell before its task
+    first runs.  Every path that can cancel it in that window abandons
+    it through the interrupt protocol, and when a resumption won the
+    reply is ``OK`` with the result: each element is delivered exactly
+    once, and nothing is left parked in the channel."""
+
+    @pytest.mark.parametrize("parks", ["send", "receive"])
+    def test_parked_op_cancelled_in_the_same_batch(self, parks):
+        async def main():
+            server = await serve("127.0.0.1", 0)
+            reader, writer, decoder = await _raw_client(server)
+            try:
+                await _open(reader, writer, decoder, "pc")
+                op = (Frame(OP_SEND, 2, {"channel": "pc", "value": 1}) if parks == "send"
+                      else Frame(OP_RECEIVE, 2, {"channel": "pc"}))
+                writer.write(encode_batch([op, Frame(OP_CANCEL_OP, 3, {"target": 2})]))
+                cancelled = (await _replies(reader, decoder, 1))[2]
+                probe = (Frame(OP_TRY_RECEIVE, 4, {"channel": "pc"}) if parks == "send"
+                         else Frame(OP_TRY_SEND, 4, {"channel": "pc", "value": 2}))
+                writer.write(encode_batch([probe]))
+                probed = (await _replies(reader, decoder, 1))[4]
+                entry = server.registry.get("pc")
+                return cancelled, probed.payload, entry.inflight, entry.channel.stats
+            finally:
+                writer.close()
+                await server.shutdown()
+
+        cancelled, probed, inflight, stats = run(main())
+        assert _is_interrupt(cancelled)
+        assert probed["success"] is False  # no zombie waiter left behind
+        assert inflight == 0
+        assert (stats.sends, stats.receives) == (0, 0)
+        assert (stats.send_interrupts, stats.rcv_interrupts) == (
+            (1, 0) if parks == "send" else (0, 1)
+        )
+
+    @pytest.mark.parametrize("parks", ["send", "receive"])
+    def test_resumed_in_the_cancelling_batch_replies_ok(self, parks):
+        async def main():
+            server = await serve("127.0.0.1", 0)
+            reader, writer, decoder = await _raw_client(server)
+            try:
+                await _open(reader, writer, decoder, "pr")
+                send = Frame(OP_SEND, 2 if parks == "send" else 3, {"channel": "pr", "value": 7})
+                receive = Frame(OP_RECEIVE, 3 if parks == "send" else 2, {"channel": "pr"})
+                first, second = (send, receive) if parks == "send" else (receive, send)
+                writer.write(encode_batch([first, second, Frame(OP_CANCEL_OP, 4, {"target": 2})]))
+                got = await _replies(reader, decoder, 2)
+                entry = server.registry.get("pr")
+                return got, entry.inflight, entry.channel.stats
+            finally:
+                writer.close()
+                await server.shutdown()
+
+        got, inflight, stats = run(main())
+        sent = got[2 if parks == "send" else 3]
+        received = got[3 if parks == "send" else 2]
+        assert (sent.op, sent.payload) == (OP_OK, {})
+        assert (received.op, received.payload) == (OP_OK, {"value": 7})
+        assert inflight == 0
+        assert (stats.sends, stats.receives) == (1, 1)
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_cancelled_while_the_reader_awaits_admission(self, resumed):
+        async def main():
+            server = await serve("127.0.0.1", 0, max_inflight=1)
+            reader, writer, decoder = await _raw_client(server)
+            await _open(reader, writer, decoder, "adm")
+            # Both sends park; the first takes the only slot, so the
+            # reader waits to admit the second, which holds cell 1.
+            writer.write(encode_frame(OP_SEND, 2, {"channel": "adm", "value": 1}))
+            writer.write(encode_frame(OP_SEND, 3, {"channel": "adm", "value": 2}))
+            await writer.drain()
+            entry = server.registry.get("adm")
+            await _until(lambda: entry.inflight == 2)
+            taken = []
+            if resumed:
+                taken = [entry.channel.try_receive() for _ in range(2)]
+            await server.shutdown(drain=False)
+            got = await _replies(reader, decoder, 2)
+            writer.close()
+            return got, taken, entry.inflight, entry.channel
+        got, taken, inflight, channel = run(main())
+        if resumed:
+            assert taken == [(True, 1), (True, 2)]
+            assert [(got[r].op, got[r].payload) for r in (2, 3)] == [(OP_OK, {})] * 2
+            assert (channel.stats.sends, channel.stats.receives) == (2, 2)
+        else:
+            assert _is_interrupt(got[2]) and _is_interrupt(got[3])
+            assert channel.try_receive() == (False, None)
+            assert (channel.stats.sends, channel.stats.send_interrupts) == (0, 2)
+        assert inflight == 0
+
+    def test_connection_death_abandons_parked_ops(self):
+        async def main():
+            server = await serve("127.0.0.1", 0)
+            reader, writer, decoder = await _raw_client(server)
+            await _open(reader, writer, decoder, "a")
+            await _open(reader, writer, decoder, "b")
+            writer.write(
+                encode_batch(
+                    [
+                        Frame(OP_RECEIVE, 2, {"channel": "a"}),  # parks
+                        Frame(OP_SEND, 3, {"channel": "b", "value": 8}),  # parks
+                        Frame(OP_SEND, 4, {"channel": "a", "value": 9}),  # resumes 2
+                    ]
+                )
+            )
+            writer.write_eof()  # the client goes away; its replies still flow
+            got = await _replies(reader, decoder, 3)
+            writer.close()
+            a, b = server.registry.get("a"), server.registry.get("b")
+            await _until(lambda: a.inflight == b.inflight == 0)
+            leftover = b.channel.try_receive()
+            await server.shutdown()
+            return got, leftover, a.channel.stats, b.channel.stats
+
+        got, leftover, a_stats, b_stats = run(main())
+        assert (got[4].op, got[4].payload) == (OP_OK, {})
+        assert (got[2].op, got[2].payload) == (OP_OK, {"value": 9})
+        assert _is_interrupt(got[3])
+        assert leftover == (False, None)
+        assert (a_stats.sends, a_stats.receives) == (1, 1)
+        assert (b_stats.sends, b_stats.send_interrupts) == (0, 1)
+
+    def test_shutdown_drain_lands_parked_sends(self):
+        async def main():
+            server = await serve("127.0.0.1", 0)
+            client = await connect("127.0.0.1", server.port)
+            ch = await client.channel("drain0", capacity=0)
+            sends = [asyncio.create_task(ch.send(i)) for i in range(3)]
+            entry = server.registry.get("drain0")
+            await _until(lambda: entry.inflight == 3)  # all three parked
+            stopping = asyncio.create_task(server.shutdown(drain=True, timeout=5))
+            await asyncio.sleep(0.05)  # reading has stopped; the drain waits
+            taken = [entry.channel.try_receive() for _ in range(3)]
+            await stopping
+            acked = await asyncio.gather(*sends, return_exceptions=True)
+            await client.close()
+            return taken, acked, entry.inflight, entry.channel.stats
+
+        taken, acked, inflight, stats = run(main())
+        assert taken == [(True, 0), (True, 1), (True, 2)]
+        assert acked == [None] * 3  # every accepted send landed and was acked
+        assert inflight == 0
+        assert (stats.sends, stats.receives) == (3, 3)

@@ -87,15 +87,62 @@ class TestBasics:
 
 
 class TestTimeouts:
+    """A timed-out op is interrupted: it leaves no waiter behind that a
+    later op could hand an element to."""
+
     def test_receive_timeout(self):
         ch = BlockingChannel(0)
         with pytest.raises(TimeoutError):
             ch.receive(timeout=0.05)
+        assert ch.try_send("x") is False  # no zombie receiver took it
+        with pytest.raises(TimeoutError):
+            ch.receive(timeout=0.05)
+        assert (ch.stats.sends, ch.stats.receives, ch.stats.rcv_interrupts) == (0, 0, 2)
 
     def test_send_timeout(self):
         ch = BlockingChannel(0)
         with pytest.raises(TimeoutError):
             ch.send(1, timeout=0.05)
+        assert ch.try_receive() == (False, None)  # the timed-out 1 is gone
+        with pytest.raises(TimeoutError):
+            ch.send(2, timeout=0.05)
+        assert (ch.stats.sends, ch.stats.receives, ch.stats.send_interrupts) == (0, 0, 2)
+
+    def test_buffered_send_timeout_frees_its_cell(self):
+        ch = BlockingChannel(1)
+        ch.send(1)
+        with pytest.raises(TimeoutError):
+            ch.send(2, timeout=0.05)
+        assert ch.receive(timeout=1) == 1
+        ch.send(3, timeout=1)  # capacity restored past the dead cell
+        assert ch.try_receive() == (True, 3)
+        assert ch.try_receive() == (False, None)
+
+    def test_resumption_racing_the_timeout_delivers_once(self):
+        """Timeouts race peers resuming the parked op; every element is
+        received exactly once, or the send that carried it timed out."""
+
+        ch = BlockingChannel(0)
+        got, sent = [], []
+
+        def receiver():
+            for _ in range(200):
+                try:
+                    got.append(ch.receive(timeout=0.0005))
+                except TimeoutError:
+                    pass
+
+        def sender():
+            for i in range(200):
+                try:
+                    ch.send(i, timeout=0.0005)
+                    sent.append(i)
+                except TimeoutError:
+                    pass
+
+        run_threads(receiver, sender)
+        assert sorted(got) == sent
+        assert ch.stats.sends == ch.stats.receives == len(sent)
 
 
 class TestCloseSemantics:
